@@ -34,6 +34,7 @@ from .sensor_frontend import (
 from .track_analyzer import (
     Track,
     accuracy_metrics,
+    analyze,
     link_tracks,
     mean_flow,
     redetect,
@@ -55,6 +56,7 @@ __all__ = [
     "TextureSpec",
     "Track",
     "accuracy_metrics",
+    "analyze",
     "compute_orientation",
     "crop",
     "decode",

@@ -41,11 +41,10 @@ from .scene_synth import (
 )
 from .sensor_frontend import SensorConfig, load_config
 from .track_analyzer import (
-    accuracy_metrics,
-    link_tracks,
-    mean_flow,
+    REDETECT_MAX_GAP,
+    REDETECT_RADIUS,
+    analyze,
     read_ground_truth_csv,
-    redetect,
     track_stats,
     write_frame_report_csv,
     write_summary_csv,
@@ -132,6 +131,11 @@ def cmd_run(args) -> int:
         gt_path = Path(args.seq) / "ground_truth.csv"
         gt = read_ground_truth_csv(gt_path) if gt_path.exists() else None
         if gt is not None and len(gt) != len(frames):
+            print(
+                f"flowcam run: ignoring {gt_path}: {len(gt)} rows for "
+                f"{len(frames)} frames",
+                file=sys.stderr,
+            )
             gt = None
         name = args.name or "run"
     else:
@@ -182,7 +186,7 @@ def cmd_bench(args) -> int:
 
 def cmd_tracks(args) -> int:
     width, height, per_frame = read_ofv(args.ofv)
-    tracks = redetect(link_tracks(per_frame), args.max_gap, args.radius)
+    tracks = analyze(per_frame, max_gap=args.max_gap, radius=args.radius).tracks
     stats = track_stats(tracks)
     print(
         f"{args.ofv}: {len(per_frame)} frames ({width}x{height}), "
@@ -205,13 +209,12 @@ def cmd_report(args) -> int:
         raise FlowcamError(
             f"ground truth has {len(gt)} frames, stream has {len(per_frame)}"
         )
-    est = [mean_flow(v) for v in per_frame]
-    accuracy = accuracy_metrics(est, gt)
-    tracks = redetect(link_tracks(per_frame), args.max_gap, args.radius)
+    analysis = analyze(per_frame, gt, args.max_gap, args.radius)
+    accuracy = analysis.accuracy
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_frame_report_csv(out_dir / "report_frames.csv", est, gt, accuracy)
-    write_summary_csv(out_dir / "report_summary.csv", accuracy, tracks)
+    write_frame_report_csv(out_dir / "report_frames.csv", analysis.estimates, gt, accuracy)
+    write_summary_csv(out_dir / "report_summary.csv", accuracy, analysis.tracks)
     rel = "n/a" if accuracy.final_rel_err is None else f"{accuracy.final_rel_err:.4f}"
     print(
         f"rmse ({accuracy.rmse_x:.4f}, {accuracy.rmse_y:.4f}), final_rel_err {rel}, "
@@ -273,16 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tracks", help="track statistics of an .ofv stream")
     p.add_argument("--ofv", required=True)
-    p.add_argument("--max-gap", type=int, default=4)
-    p.add_argument("--radius", type=int, default=1)
+    p.add_argument("--max-gap", type=int, default=REDETECT_MAX_GAP)
+    p.add_argument("--radius", type=int, default=REDETECT_RADIUS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tracks)
 
     p = sub.add_parser("report", help="accuracy report for an .ofv stream")
     p.add_argument("--ofv", required=True)
     p.add_argument("--gt", required=True, help="ground-truth CSV")
-    p.add_argument("--max-gap", type=int, default=4)
-    p.add_argument("--radius", type=int, default=1)
+    p.add_argument("--max-gap", type=int, default=REDETECT_MAX_GAP)
+    p.add_argument("--radius", type=int, default=REDETECT_RADIUS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
 

@@ -42,10 +42,8 @@ from .sensor_frontend import (
     subsample,
 )
 from .track_analyzer import (
-    accuracy_metrics,
+    analyze,
     link_tracks,
-    mean_flow,
-    redetect,
     track_stats,
     write_frame_report_csv,
     write_ground_truth_csv,
@@ -347,18 +345,12 @@ def finalize_report(
     ground_truth: list[tuple[float, float]] | None,
     out_dir: str | Path | None,
     name: str = "run",
-    redetect_max_gap: int = 4,
-    redetect_radius: int = 1,
 ) -> None:
     """Attach accuracy/track summaries to a report and write output files."""
-    est = [mean_flow(v) for v in per_frame_vectors]
-    tracks = redetect(
-        link_tracks(per_frame_vectors), redetect_max_gap, redetect_radius
-    )
-    report.summary.update(track_stats(tracks))
-    accuracy = None
-    if ground_truth is not None:
-        accuracy = accuracy_metrics(est, ground_truth)
+    analysis = analyze(per_frame_vectors, ground_truth)
+    accuracy = analysis.accuracy
+    report.summary.update(track_stats(analysis.tracks))
+    if accuracy is not None:
         report.summary.update(
             rmse_x=accuracy.rmse_x,
             rmse_y=accuracy.rmse_y,
@@ -372,10 +364,10 @@ def finalize_report(
     report.ofv_path = out_dir / f"{name}.ofv"
     write_ofv(report.ofv_path, report.of_width, report.of_height, per_frame_vectors)
     report.summary_csv = out_dir / f"{name}_summary.csv"
-    write_summary_csv(report.summary_csv, accuracy, tracks)
-    if ground_truth is not None and accuracy is not None:
+    write_summary_csv(report.summary_csv, accuracy, analysis.tracks)
+    if accuracy is not None:
         report.frames_csv = out_dir / f"{name}_frames.csv"
-        write_frame_report_csv(report.frames_csv, est, ground_truth, accuracy)
+        write_frame_report_csv(report.frames_csv, analysis.estimates, ground_truth, accuracy)
         write_ground_truth_csv(out_dir / f"{name}_gt.csv", ground_truth)
 
 

@@ -133,12 +133,13 @@ def _bilinear(texture: np.ndarray, sx: np.ndarray, sy: np.ndarray,
     y0 = np.minimum(y0, h - 2)
     fx = sx - x0
     fy = sy - y0
-    t = texture.astype(np.float64)
+    # The float64 weights promote the gathered corners exactly; converting
+    # the whole texture instead would copy it once per rendered frame.
     val = (
-        t[y0, x0] * (1 - fx) * (1 - fy)
-        + t[y0, x0 + 1] * fx * (1 - fy)
-        + t[y0 + 1, x0] * (1 - fx) * fy
-        + t[y0 + 1, x0 + 1] * fx * fy
+        texture[y0, x0] * (1 - fx) * (1 - fy)
+        + texture[y0, x0 + 1] * fx * (1 - fy)
+        + texture[y0 + 1, x0] * (1 - fx) * fy
+        + texture[y0 + 1, x0 + 1] * fx * fy
     )
     return np.floor(val + 0.5).astype(np.uint8)
 

@@ -15,8 +15,13 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import AlignmentError, RangeError
+from .errors import AlignmentError, FlowcamError, RangeError
 from .matcher import FlowVector
+
+# Default re-detection window: frames a track may vanish for, and how far
+# (Chebyshev, px) its reappearance may lie from where it vanished.
+REDETECT_MAX_GAP = 4
+REDETECT_RADIUS = 1
 
 
 @dataclass
@@ -72,14 +77,23 @@ def redetect(tracks: list[Track], max_gap: int, radius: int) -> list[Track]:
     (Chebyshev). Greedy in ascending end time; among candidates the earliest
     start wins, then the spatially nearest, then the smaller row-major
     position. Gap frame ranges are recorded on the merged track.
+
+    Track starts are indexed once by frame and by square grid cell of side
+    radius + 1, so every start within `radius` of an endpoint lies in the
+    3x3 cells around it. A track end probes at most 9 cells in each of the
+    `max_gap` candidate frames, stopping at the first frame with a match, so
+    its cost grows with the starts near it rather than with all starts in
+    those frames.
     """
     if max_gap < 1:
         raise RangeError(f"max_gap must be at least 1, got {max_gap}")
     merged = [Track(t.id, list(t.points), list(t.gaps)) for t in tracks]
     alive = {t.id: t for t in merged}
-    starts: dict[int, list[Track]] = {}
+    cell = radius + 1
+    starts: dict[int, dict[tuple[int, int], list[Track]]] = {}
     for t in merged:
-        starts.setdefault(t.start_frame, []).append(t)
+        frame, x, y = t.points[0]
+        starts.setdefault(frame, {}).setdefault((x // cell, y // cell), []).append(t)
 
     # Process track ends in ascending time; a merge extends the end, so the
     # surviving track is revisited at its new end time.
@@ -92,18 +106,26 @@ def redetect(tracks: list[Track], max_gap: int, radius: int) -> list[Track]:
         if track is None or tid in consumed or track.end_frame != end_frame:
             continue
         _, ex, ey = track.points[-1]
+        cx, cy = ex // cell, ey // cell
         best = None
         for start in range(end_frame + 2, end_frame + max_gap + 2):
-            for cand in starts.get(start, ()):
-                if cand.id == tid or cand.id in consumed or cand.id not in alive:
-                    continue
-                _, sx, sy = cand.points[0]
-                cheb = max(abs(sx - ex), abs(sy - ey))
-                if cheb > radius:
-                    continue
-                key = (cand.start_frame, cheb, sy, sx, cand.id)
-                if best is None or key < best[0]:
-                    best = (key, cand)
+            grid = starts.get(start)
+            if grid is None:
+                continue
+            for gx in (cx - 1, cx, cx + 1):
+                for gy in (cy - 1, cy, cy + 1):
+                    for cand in grid.get((gx, gy), ()):
+                        if cand.id == tid or cand.id in consumed or cand.id not in alive:
+                            continue
+                        _, sx, sy = cand.points[0]
+                        cheb = max(abs(sx - ex), abs(sy - ey))
+                        if cheb > radius:
+                            continue
+                        key = (cheb, sy, sx, cand.id)
+                        if best is None or key < best[0]:
+                            best = (key, cand)
+            if best is not None:
+                break
         if best is None:
             continue
         other = best[1]
@@ -193,6 +215,28 @@ def accuracy_metrics(
     )
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """What a consumer derives from a stream of per-frame flow vectors."""
+
+    estimates: list[tuple[float, float] | None]  # per-frame mean flow
+    accuracy: AccuracyReport | None  # None without ground truth
+    tracks: list[Track]  # linked, then re-detected across short gaps
+
+
+def analyze(
+    per_frame_vectors: list[list[FlowVector]],
+    ground_truth: list[tuple[float, float]] | None = None,
+    max_gap: int = REDETECT_MAX_GAP,
+    radius: int = REDETECT_RADIUS,
+) -> Analysis:
+    """Mean flow, accuracy against ground truth when given, and tracks."""
+    estimates = [mean_flow(v) for v in per_frame_vectors]
+    accuracy = None if ground_truth is None else accuracy_metrics(estimates, ground_truth)
+    tracks = redetect(link_tracks(per_frame_vectors), max_gap, radius)
+    return Analysis(estimates, accuracy, tracks)
+
+
 def track_stats(tracks: list[Track]) -> dict:
     lengths = sorted(t.length for t in tracks)
     if lengths:
@@ -220,10 +264,18 @@ def read_ground_truth_csv(path: str | Path) -> list[tuple[float, float]]:
     rows: list[tuple[int, float, float]] = []
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        for raw in reader:
-            if not raw or raw[0].strip().lower() in ("frame", "frame_index"):
-                continue
-            rows.append((int(raw[0]), float(raw[1]), float(raw[2])))
+        try:
+            for raw in reader:
+                if not raw or raw[0].strip().lower() in ("frame", "frame_index"):
+                    continue
+                frame, dx, dy = raw[:3]
+                rows.append((int(frame), float(dx), float(dy)))
+        except UnicodeDecodeError as exc:
+            raise FlowcamError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except (ValueError, csv.Error) as exc:
+            raise FlowcamError(
+                f"{path}:{reader.line_num}: expected frame,dx,dy numbers: {exc}"
+            ) from None
     rows.sort(key=lambda r: r[0])
     return [(dx, dy) for _, dx, dy in rows]
 

@@ -76,18 +76,9 @@ def decode(data: bytes) -> list[FlowVector]:
         raise PayloadError(
             f"record {bad[0]} carries a score above {SCORE_LIMIT}"
         )
-    signed = real[:, 2:4].view("<i2")
-    return [
-        FlowVector(
-            x_prev=int(real[i, 0]),
-            y_prev=int(real[i, 1]),
-            dx=int(signed[i, 0]),
-            dy=int(signed[i, 1]),
-            best_score=int(real[i, 4]),
-            second_score=int(real[i, 5]),
-        )
-        for i in range(real.shape[0])
-    ]
+    rows = real.astype(np.int32)
+    rows[:, 2:4] = real[:, 2:4].view("<i2")
+    return [FlowVector(*row) for row in rows.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import shutil
 import subprocess
 import sys
 
 import pytest
+
+from flowcam.wire_format import write_ofv
 
 CLI = [sys.executable, "-m", "flowcam.cli"]
 
@@ -80,6 +83,17 @@ class TestRun:
         assert (rep / "report_summary.csv").exists()
         assert "final_rel_err" in proc.stdout
 
+    def test_mismatched_ground_truth_is_reported(self, still_sequence, tmp_path):
+        seq = tmp_path / "seq"
+        shutil.copytree(still_sequence, seq)
+        rows = (seq / "ground_truth.csv").read_text().splitlines()
+        (seq / "ground_truth.csv").write_text("\n".join(rows[:-1]) + "\n")
+        out = tmp_path / "out"
+        proc = run_cli("run", "--param-set", 6, "--seq", seq, "--out", out)
+        assert "ignoring" in proc.stderr and "11 rows for 12 frames" in proc.stderr
+        assert proc.stderr.strip().count("\n") == 0
+        assert not (out / "run_frames.csv").exists()
+
     def test_custom_config_file(self, still_sequence, tmp_path):
         cfg = tmp_path / "cam.cfg"
         cfg.write_text(
@@ -116,6 +130,18 @@ class TestErrors:
     def test_missing_input(self, tmp_path):
         proc = run_cli("run", "--param-set", 6, "--out", tmp_path, check=False)
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("bad_row", ["1,0.5", "1,fast,0.0"])
+    def test_bad_ground_truth_csv(self, tmp_path, bad_row):
+        ofv = tmp_path / "s.ofv"
+        write_ofv(ofv, 16, 16, [[], []])
+        gt = tmp_path / "gt.csv"
+        gt.write_text(f"frame,gt_dx,gt_dy\n0,0.0,0.0\n{bad_row}\n")
+        proc = run_cli("report", "--ofv", ofv, "--gt", gt, "--out", tmp_path / "r",
+                       check=False)
+        assert proc.returncode == 1
+        assert proc.stderr.strip().count("\n") == 0
+        assert "gt.csv:3" in proc.stderr
 
     def test_unknown_subcommand_usage_error(self):
         proc = run_cli("paint", check=False)

@@ -8,6 +8,7 @@ from flowcam.feature_engine import detect_fast
 from flowcam.scene_synth import (
     MotionSpec,
     TextureSpec,
+    _bilinear,
     generate_texture,
     ground_truth_flow,
     load_manifest,
@@ -103,6 +104,21 @@ class TestRenderSequence:
         b = render_sequence(tex, motion, 5, (64, 64))
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.pixels, fb.pixels)
+
+    def test_bilinear_matches_float64_formula(self):
+        rng = np.random.default_rng(5)
+        tex = rng.integers(0, 256, size=(40, 50), dtype=np.uint8)
+        sx = rng.uniform(0, 49, size=(6, 7))
+        sy = rng.uniform(0, 39, size=(6, 7))
+        sx[0, 0], sy[0, 0] = 49.0, 39.0  # bottom-right corner sample
+        x0 = np.minimum(np.floor(sx).astype(int), 48)
+        y0 = np.minimum(np.floor(sy).astype(int), 38)
+        fx, fy = sx - x0, sy - y0
+        t = tex.astype(np.float64)
+        val = (t[y0, x0] * (1 - fx) * (1 - fy) + t[y0, x0 + 1] * fx * (1 - fy)
+               + t[y0 + 1, x0] * (1 - fx) * fy + t[y0 + 1, x0 + 1] * fx * fy)
+        expected = np.floor(val + 0.5).astype(np.uint8)
+        assert np.array_equal(_bilinear(tex, sx, sy, 0), expected)
 
     def test_strided_readout_matches_decimation(self):
         tex = generate_texture(TextureSpec("blocks", 6, (256, 256)))

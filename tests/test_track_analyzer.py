@@ -1,13 +1,18 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from flowcam.errors import AlignmentError
+from flowcam.errors import AlignmentError, FlowcamError
 from flowcam.matcher import FlowVector
+from flowcam.pipeline import PARAMETER_SETS, run_pipeline, synthesize_sequence
 from flowcam.track_analyzer import (
     Track,
     accuracy_metrics,
+    analyze,
     link_tracks,
     mean_flow,
     read_ground_truth_csv,
@@ -149,6 +154,141 @@ class TestRedetect:
         assert merged.length - 1 == n_vectors + len(merged.gaps)
 
 
+def redetect_reference(tracks, max_gap, radius):
+    """The original full scan: every start in the next max_gap frames is a
+    candidate for every track end. Kept as the oracle for `redetect`."""
+    merged = [Track(t.id, list(t.points), list(t.gaps)) for t in tracks]
+    alive = {t.id: t for t in merged}
+    starts = {}
+    for t in merged:
+        starts.setdefault(t.start_frame, []).append(t)
+    heap = [(t.end_frame, t.id) for t in merged]
+    heapq.heapify(heap)
+    consumed = set()
+    while heap:
+        end_frame, tid = heapq.heappop(heap)
+        track = alive.get(tid)
+        if track is None or tid in consumed or track.end_frame != end_frame:
+            continue
+        _, ex, ey = track.points[-1]
+        best = None
+        for start in range(end_frame + 2, end_frame + max_gap + 2):
+            for cand in starts.get(start, ()):
+                if cand.id == tid or cand.id in consumed or cand.id not in alive:
+                    continue
+                _, sx, sy = cand.points[0]
+                cheb = max(abs(sx - ex), abs(sy - ey))
+                if cheb > radius:
+                    continue
+                key = (cand.start_frame, cheb, sy, sx, cand.id)
+                if best is None or key < best[0]:
+                    best = (key, cand)
+        if best is None:
+            continue
+        other = best[1]
+        track.gaps.append((end_frame + 1, other.start_frame - 1))
+        track.points.extend(other.points)
+        track.gaps.extend(other.gaps)
+        consumed.add(other.id)
+        del alive[other.id]
+        heapq.heappush(heap, (track.end_frame, tid))
+    return [t for t in merged if t.id not in consumed]
+
+
+def as_tuples(tracks):
+    return [(t.id, t.points, t.gaps) for t in tracks]
+
+
+@st.composite
+def track_sets(draw):
+    """Short tracks packed into a few frames and a 10x10 patch that reaches
+    below zero, so starts share points, distances tie and gaps chain."""
+    n = draw(st.integers(0, 24))
+    ids = draw(st.permutations(range(n)))
+    tracks = []
+    for tid in ids:
+        start = draw(st.integers(0, 14))
+        x, y = draw(st.integers(-3, 6)), draw(st.integers(-3, 6))
+        points = [(start, x, y)]
+        for k in range(1, draw(st.integers(2, 4))):
+            x += draw(st.integers(-1, 1))
+            y += draw(st.integers(-1, 1))
+            points.append((start + k, x, y))
+        tracks.append(Track(tid, points))
+    return tracks
+
+
+# Hand-made sets that the generated ones must not be trusted to hit.
+SHARED_STARTS = [
+    Track(0, [(0, 5, 5), (1, 5, 5)]),
+    Track(1, [(3, 5, 5), (4, 6, 5)]),
+    Track(2, [(3, 5, 5), (4, 4, 5)]),
+    Track(3, [(0, 5, 6), (1, 5, 5)]),
+]
+CHEB_SY_SX_TIES = [
+    Track(0, [(0, 5, 5), (1, 5, 5)]),
+    Track(4, [(3, 6, 4), (4, 6, 4)]),  # cheb 1, sy 4, sx 6
+    Track(2, [(3, 4, 4), (4, 4, 4)]),  # cheb 1, sy 4, sx 4
+    Track(3, [(3, 6, 6), (4, 6, 6)]),  # cheb 1, sy 6
+    Track(1, [(3, 4, 4), (4, 3, 3)]),  # same start as id 2, smaller id: wins
+]
+MERGE_CHAIN = [
+    Track(0, [(0, 0, 0), (1, 0, 0)]),
+    Track(1, [(3, 1, 0), (4, 1, 0)]),
+    Track(2, [(6, 2, 1), (7, 2, 1)]),
+    Track(3, [(9, 3, 1), (10, 3, 2)]),
+    Track(4, [(13, 4, 3), (14, 4, 3)]),
+]
+
+
+class TestRedetectOracle:
+    @given(track_sets(), st.integers(1, 5), st.integers(0, 3))
+    @example(SHARED_STARTS, 2, 1)
+    @example(CHEB_SY_SX_TIES, 2, 1)
+    @example(MERGE_CHAIN, 2, 1)
+    @example(MERGE_CHAIN, 1, 3)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_scan(self, tracks, max_gap, radius):
+        expected = as_tuples(redetect_reference(tracks, max_gap, radius))
+        assert as_tuples(redetect(tracks, max_gap, radius)) == expected
+
+    def test_hand_made_sets_exercise_their_case(self):
+        [merged] = [t for t in redetect(MERGE_CHAIN, 2, 1) if t.id == 0]
+        assert len(merged.gaps) == 4
+        out = {t.id: t for t in redetect(CHEB_SY_SX_TIES, 2, 1)}
+        assert out[0].points[2:] == [(3, 4, 4), (4, 3, 3)] and 1 not in out
+
+    @pytest.mark.parametrize("max_gap,radius", [(4, 1), (1, 1), (2, 2), (5, 3)])
+    def test_matches_full_scan_on_rotate_run(self, rotate_tracks, max_gap, radius):
+        expected = redetect_reference(rotate_tracks, max_gap, radius)
+        assert as_tuples(redetect(rotate_tracks, max_gap, radius)) == as_tuples(expected)
+        assert sum(len(t.gaps) for t in expected) > 0
+
+
+@pytest.fixture(scope="module")
+def rotate_tracks():
+    config = PARAMETER_SETS[6]
+    frames, _ = synthesize_sequence(config, "rotate", 12, seed=0)
+    vectors, _ = run_pipeline(config, frames)
+    return link_tracks(vectors)
+
+
+class TestAnalyze:
+    def test_matches_separate_steps(self):
+        per_frame = [[], [vec(5, 5), vec(9, 9, 0, 1)], [vec(6, 5)], [], []]
+        gt = [(1.0, 0.0)] * len(per_frame)
+        result = analyze(per_frame, gt, max_gap=2, radius=1)
+        est = [mean_flow(v) for v in per_frame]
+        assert result.estimates == est
+        assert result.accuracy == accuracy_metrics(est, gt)
+        assert as_tuples(result.tracks) == as_tuples(
+            redetect(link_tracks(per_frame), 2, 1)
+        )
+
+    def test_without_ground_truth(self):
+        assert analyze([[], [vec(5, 5)]]).accuracy is None
+
+
 class TestMeanFlow:
     def test_constant_field(self):
         vectors = [vec(i, 0, 1, 0) for i in range(5)]
@@ -229,6 +369,18 @@ class TestCsvInterfaces:
         path = tmp_path / "gt.csv"
         write_ground_truth_csv(path, flows)
         assert read_ground_truth_csv(path) == flows
+
+    @pytest.mark.parametrize("bad_row,message", [
+        (b"2,1.0", r"gt\.csv:4: expected frame,dx,dy"),
+        (b"2,abc,0.0", r"gt\.csv:4: expected frame,dx,dy"),
+        (b"x,1.0,0.0", r"gt\.csv:4: expected frame,dx,dy"),
+        (b"2,\xff,0", r"gt\.csv: not UTF-8"),
+    ])
+    def test_bad_ground_truth_row_names_file(self, tmp_path, bad_row, message):
+        path = tmp_path / "gt.csv"
+        path.write_bytes(b"frame,gt_dx,gt_dy\n0,0.0,0.0\n1,1.0,0.0\n" + bad_row + b"\n")
+        with pytest.raises(FlowcamError, match=message):
+            read_ground_truth_csv(path)
 
     def test_report_files(self, tmp_path):
         est = [(1.0, 0.0), None, (0.5, 0.5)]
