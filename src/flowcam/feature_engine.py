@@ -5,6 +5,14 @@ segment-test detector with 3x3 non-maximum suppression, a per-tile budget that
 spreads features across the frame, a global cap that drops features bottom
 first, an intensity-centroid orientation estimate, and a 256-bit binary
 descriptor sampled on a fixed point-pair pattern rotated in 12-degree steps.
+
+The per-frame kernels index the row-major pixel buffer `frame.pixels.ravel()`
+directly: a pixel at offset (dx, dy) from position `i` is `flat[i + dy*W + dx]`
+for frame width W. The FAST circle, the orientation disc and the 30 rotated
+BRIEF pair tables are turned into such flat offsets once per call, so each
+gathers with one fancy index instead of separate row and column arrays.
+Corners keep the 15-pixel border margin, so no offset leaves the frame or
+wraps into a neighbouring row.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ _CIRCLE = (
     (0, -3), (1, -3), (2, -2), (3, -1), (3, 0), (3, 1), (2, 2), (1, 3),
     (0, 3), (-1, 3), (-2, 2), (-3, 1), (-3, 0), (-3, -1), (-2, -2), (-1, -3),
 )
+_CIRCLE_DX = np.array([dx for dx, _ in _CIRCLE], dtype=np.int64)
+_CIRCLE_DY = np.array([dy for _, dy in _CIRCLE], dtype=np.int64)
 _COMPASS = (0, 4, 8, 12)
 _ARC = 9
 
@@ -81,6 +91,7 @@ def detect_fast(frame: Frame, threshold: int) -> list[tuple[int, int, int]]:
     if not 1 <= threshold <= 255:
         raise RangeError(f"threshold must be in [1, 255], got {threshold}")
 
+    flat = frame.pixels.ravel()
     img = frame.pixels.astype(np.int16)
     h, w = img.shape
     m = BORDER_MARGIN
@@ -95,46 +106,54 @@ def detect_fast(frame: Frame, threshold: int) -> list[tuple[int, int, int]]:
         ring = img[m + dy : h - m + dy, m + dx : w - m + dx]
         bright_compass += ring > center + threshold
         dark_compass += ring < center - threshold
-    candidate = (bright_compass >= 2) | (dark_compass >= 2)
-    cy, cx = np.nonzero(candidate)
-    if cy.size == 0:
+    candidate = np.zeros((h, w), dtype=bool)
+    np.logical_or(bright_compass >= 2, dark_compass >= 2, out=candidate[m : h - m, m : w - m])
+    idx = np.flatnonzero(candidate)  # row-major flat positions, ascending
+    if idx.size == 0:
         return []
-    ay = cy + m
-    ax = cx + m
 
-    diffs = np.empty((16, ay.size), dtype=np.int16)
-    base = img[ay, ax]
-    for k, (dx, dy) in enumerate(_CIRCLE):
-        diffs[k] = img[ay + dy, ax + dx] - base
+    diffs = flat[idx + (_CIRCLE_DY * w + _CIRCLE_DX)[:, None]].astype(np.int16)
+    diffs -= flat[idx]
 
     score = np.maximum(_arc_strength(diffs), _arc_strength(-diffs)) - 1
     keep = score >= threshold
     if not keep.any():
         return []
-    ay, ax, score = ay[keep], ax[keep], score[keep].astype(np.int32)
-
-    # NMS on the score map. Ties are broken toward the earlier row-major
-    # position: a corner survives if it strictly beats the neighbors before
-    # it and at least ties the neighbors after it.
-    smap = np.zeros((h + 2, w + 2), dtype=np.int32)
-    smap[ay + 1, ax + 1] = score
-    py, px = ay + 1, ax + 1
-    survive = np.ones(ay.size, dtype=bool)
-    for dy, dx in ((-1, -1), (-1, 0), (-1, 1), (0, -1)):
-        survive &= score > smap[py + dy, px + dx]
-    for dy, dx in ((0, 1), (1, -1), (1, 0), (1, 1)):
-        survive &= score >= smap[py + dy, px + dx]
-
-    ys, xs, ss = ay[survive], ax[survive], score[survive]
-    order = np.lexsort((xs, ys))
-    return [(int(xs[i]), int(ys[i]), int(ss[i])) for i in order]
+    idx, score = idx[keep], score[keep]
+    survive = _nms(idx, score, h, w)
+    ys, xs = np.divmod(idx[survive], w)
+    return list(zip(xs.tolist(), ys.tolist(), score[survive].tolist()))
 
 
 def _arc_strength(diffs: np.ndarray) -> np.ndarray:
-    """Max over circular 9-runs of the minimum diff along the run."""
+    """Max over circular 9-runs of the minimum diff along the run.
+
+    Run minima by doubling over the 24 wrapped rows: runs of 2, 4 and 8,
+    then one more row for 9.
+    """
     wrapped = np.concatenate([diffs, diffs[: _ARC - 1]], axis=0)
-    windows = np.lib.stride_tricks.sliding_window_view(wrapped, _ARC, axis=0)
-    return windows.min(axis=-1).max(axis=0)
+    run = np.minimum(wrapped[:22], wrapped[1:23])
+    run = np.minimum(run[:20], run[2:22])
+    run = np.minimum(run[:16], run[4:20])
+    return np.minimum(run, wrapped[8:24]).max(axis=0)
+
+
+def _nms(idx: np.ndarray, score: np.ndarray, h: int, w: int) -> np.ndarray:
+    """3x3 non-maximum suppression on a flat h*w score map.
+
+    `idx` are row-major flat positions at least one pixel inside the frame.
+    Ties are broken toward the earlier row-major position: a corner survives
+    if it strictly beats the neighbors before it and at least ties the
+    neighbors after it. Returns the survivor mask.
+    """
+    smap = np.zeros(h * w, dtype=score.dtype)
+    smap[idx] = score
+    survive = np.ones(idx.size, dtype=bool)
+    for step in (-w - 1, -w, -w + 1, -1):
+        survive &= score > smap[idx + step]
+    for step in (1, w - 1, w, w + 1):
+        survive &= score >= smap[idx + step]
+    return survive
 
 
 def enforce_tile_budget(
@@ -191,6 +210,7 @@ def _disc_offsets(radius: int) -> tuple[np.ndarray, np.ndarray]:
     return dx[inside].astype(np.int64), dy[inside].astype(np.int64)
 
 _DISC_DX, _DISC_DY = _disc_offsets(PATCH_RADIUS)
+_DISC_XY = np.stack([_DISC_DX, _DISC_DY], axis=1).astype(np.float64)
 
 
 def _check_margin(frame: Frame, x: int, y: int) -> None:
@@ -204,11 +224,12 @@ def _check_margin(frame: Frame, x: int, y: int) -> None:
 
 def compute_orientations(frame: Frame, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Intensity-centroid orientation for a batch of corners, in [0, 2pi)."""
-    img = frame.pixels
-    vals = img[ys[:, None] + _DISC_DY, xs[:, None] + _DISC_DX].astype(np.int64)
-    m10 = vals @ _DISC_DX
-    m01 = vals @ _DISC_DY
-    angles = np.arctan2(m01.astype(np.float64), m10.astype(np.float64))
+    w = frame.width
+    vals = frame.pixels.ravel()[(ys * w + xs)[:, None] + (_DISC_DY * w + _DISC_DX)]
+    # Integer moments below 2.7e6 in magnitude: float64 sums them exactly in
+    # any order, and never to -0.0 (the dx = 0 and dy = 0 terms are +0.0).
+    moments = vals @ _DISC_XY
+    angles = np.arctan2(moments[:, 1], moments[:, 0])
     angles[angles < 0] += 2 * math.pi
     angles[angles >= 2 * math.pi] = 0.0
     return angles
@@ -264,13 +285,12 @@ def describe_batch(frame: Frame, xs: np.ndarray, ys: np.ndarray,
     """Descriptors for a batch of corners as an (n, 32) uint8 array."""
     step = 2 * math.pi / ORIENTATION_BINS
     bins = np.floor(orientations / step + 0.5).astype(np.int64) % ORIENTATION_BINS
-    tables = _ROTATED[bins]  # (n, 256, 4)
-    img = frame.pixels
-    px = xs[:, None] + tables[:, :, 0]
-    py = ys[:, None] + tables[:, :, 1]
-    qx = xs[:, None] + tables[:, :, 2]
-    qy = ys[:, None] + tables[:, :, 3]
-    bits = img[py, px] < img[qy, qx]
+    w = frame.width
+    p_offsets = _ROTATED[:, :, 1] * w + _ROTATED[:, :, 0]  # (30, 256)
+    q_offsets = _ROTATED[:, :, 3] * w + _ROTATED[:, :, 2]
+    flat = frame.pixels.ravel()
+    base = (ys * w + xs)[:, None]
+    bits = flat[base + p_offsets[bins]] < flat[base + q_offsets[bins]]
     return np.packbits(bits, axis=1, bitorder="little")
 
 

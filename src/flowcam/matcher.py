@@ -147,23 +147,13 @@ def match_features(
     ddx, ddy = ddx[order], ddy[order]
 
     starts = np.flatnonzero(np.r_[True, pair_p[1:] != pair_p[:-1]])
-    counts = np.diff(np.r_[starts, pair_p.size])
+    has_second = np.diff(np.r_[starts, pair_p.size]) > 1
+    second = np.full(starts.size, NO_COMPETITOR, dtype=np.int64)
+    second[has_second] = ham[starts[has_second] + 1]
 
-    vectors = []
-    for s, n in zip(starts, counts):
-        p = prev_order[pair_p[s]]
-        second = int(ham[s + 1]) if n > 1 else NO_COMPETITOR
-        vectors.append(
-            FlowVector(
-                x_prev=int(px[p]),
-                y_prev=int(py[p]),
-                dx=int(ddx[s]),
-                dy=int(ddy[s]),
-                best_score=int(ham[s]),
-                second_score=second,
-            )
-        )
-    return vectors
+    p = prev_order[pair_p[starts]]
+    rows = np.stack([px[p], py[p], ddx[starts], ddy[starts], ham[starts], second], axis=1)
+    return [FlowVector(*row) for row in rows.tolist()]
 
 
 def match_features_bruteforce(

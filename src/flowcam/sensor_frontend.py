@@ -177,11 +177,21 @@ def _divisibility_crop(frame: Frame, factor: int) -> Frame:
 
 
 def _bin_blocks(pixels: np.ndarray, factor: int) -> np.ndarray:
-    h, w = pixels.shape
-    blocks = pixels.reshape(h // factor, factor, w // factor, factor)
-    sums = blocks.sum(axis=(1, 3), dtype=np.uint32)
-    # Round half up to the nearest 8-bit value.
-    return ((sums * 2 + factor * factor) // (2 * factor * factor)).astype(np.uint8)
+    """Mean of each factor x factor block, rounded half up to 8 bits.
+
+    Sums the factor^2 strided planes in uint16 (at most 16*255 + 8 for 4x4
+    blocks, so nothing overflows); dividing by the power of two factor^2
+    after adding half of it is the exact round-half-up mean.
+    """
+    n = factor * factor
+    sums = pixels[::factor, ::factor].astype(np.uint16)
+    for dy in range(factor):
+        for dx in range(factor):
+            if dy or dx:
+                sums += pixels[dy::factor, dx::factor]
+    sums += n // 2
+    sums >>= n.bit_length() - 1
+    return sums.astype(np.uint8)
 
 
 def subsample(frame: Frame, factor: int, mode: str) -> Frame:
