@@ -52,14 +52,19 @@ from .track_analyzer import (
 from .wire_format import read_ofv
 
 
-def _size(text: str) -> tuple[int, int]:
+def _size(text: str, option: str) -> tuple[int, int]:
     w, _, h = text.lower().partition("x")
+    if not (w.isdecimal() and h.isdecimal() and int(w) > 0 and int(h) > 0):
+        raise FlowcamError(f"{option} must be WxH in positive integers, got {text!r}")
     return int(w), int(h)
 
 
-def _pair(text: str) -> tuple[float, float]:
+def _pair(text: str, option: str) -> tuple[float, float]:
     x, _, y = text.partition(",")
-    return float(x), float(y)
+    try:
+        return float(x), float(y)
+    except ValueError:
+        raise FlowcamError(f"{option} must be two numbers as X,Y, got {text!r}") from None
 
 
 def _resolve_config(args) -> SensorConfig:
@@ -84,14 +89,14 @@ def _resolve_config(args) -> SensorConfig:
 
 
 def cmd_gen(args) -> int:
-    viewport = _size(args.viewport)
-    tex_size = _size(args.texture_size) if args.texture_size else (
+    viewport = _size(args.viewport, "--viewport")
+    tex_size = _size(args.texture_size, "--texture-size") if args.texture_size else (
         2 * viewport[0], 2 * viewport[1]
     )
     center = ((viewport[0] - 1) / 2, (viewport[1] - 1) / 2)
     motion = MotionSpec(
         args.motion,
-        velocity=_pair(args.velocity),
+        velocity=_pair(args.velocity, "--velocity"),
         rate=args.zoom_rate,
         omega=math.radians(args.omega_deg),
         center=center,

@@ -65,10 +65,6 @@ class Frame:
             and bool(np.array_equal(self.pixels, other.pixels))
         )
 
-    def is_sensor_native(self) -> bool:
-        """Whether the frame fits the physical 1124x1364 pixel array."""
-        return self.width <= FULL_WIDTH and self.height <= FULL_HEIGHT
-
 
 @dataclass(frozen=True)
 class SensorConfig:
@@ -296,6 +292,8 @@ def read_pgm(path: str | Path, index: int = 0, timestamp: float = 0.0) -> Frame:
         fields.append(int(m.group()))
         pos += m.end()
     width, height, maxval = fields
+    if width == 0 or height == 0:
+        raise ConfigError(f"{path}: empty {width}x{height} raster")
     if maxval != 255:
         raise ConfigError(f"{path}: only maxval 255 is supported, got {maxval}")
     pos += 1  # single whitespace before raster
@@ -339,8 +337,12 @@ def save_config(config: SensorConfig, path: str | Path) -> None:
 
 
 def load_config(path: str | Path) -> SensorConfig:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -351,23 +353,32 @@ def load_config(path: str | Path) -> SensorConfig:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
-    try:
-        crop_origin = None
-        if "crop_x" in values or "crop_y" in values:
-            crop_origin = (int(values["crop_x"]), int(values["crop_y"]))
-        return SensorConfig(
-            out_width=int(values["out_width"]),
-            out_height=int(values["out_height"]),
-            frame_rate=float(values["frame_rate"]),
-            brief_target=int(values["brief_target"]),
-            brief_max=int(values["brief_max"]),
-            tile_budget=int(values["tile_budget"]),
-            max_displacement=int(values["max_displacement"]),
-            ratio_threshold=float(values.get("ratio_threshold", "1.0")),
-            crop_origin=crop_origin,
-            subsample_factor=int(values.get("subsample_factor", "1")),
-            subsample_mode=values.get("subsample_mode", "decimate"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc.args[0]!r}") from None
+
+    def field(key, convert, default=None):
+        setting = values.get(key, default)
+        if setting is None:
+            raise ConfigError(f"{path}: missing key {key!r}")
+        try:
+            return convert(setting)
+        except ValueError:
+            raise ConfigError(
+                f"{path}: {key}={setting!r} is not a valid {convert.__name__}"
+            ) from None
+
+    crop_origin = None
+    if "crop_x" in values or "crop_y" in values:
+        crop_origin = (field("crop_x", int), field("crop_y", int))
+    return SensorConfig(
+        out_width=field("out_width", int),
+        out_height=field("out_height", int),
+        frame_rate=field("frame_rate", float),
+        brief_target=field("brief_target", int),
+        brief_max=field("brief_max", int),
+        tile_budget=field("tile_budget", int),
+        max_displacement=field("max_displacement", int),
+        ratio_threshold=field("ratio_threshold", float, "1.0"),
+        crop_origin=crop_origin,
+        subsample_factor=field("subsample_factor", int, "1"),
+        subsample_mode=values.get("subsample_mode", "decimate"),
+    )
 

@@ -2,8 +2,11 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from flowcam.cli import main
+from flowcam.sensor_frontend import Frame, write_pgm
 from flowcam.wire_format import write_ofv
 
 CLI = [sys.executable, "-m", "flowcam.cli"]
@@ -146,3 +149,43 @@ class TestErrors:
     def test_unknown_subcommand_usage_error(self):
         proc = run_cli("paint", check=False)
         assert proc.returncode == 2
+
+
+class TestTypedInputErrors:
+    """Bad external input exits 1 with one line naming the problem."""
+
+    def run_main(self, capsys, *args):
+        code = main([str(a) for a in args])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        return captured.err
+
+    def test_bad_config_value(self, capsys, tmp_path):
+        cfg = tmp_path / "cam.cfg"
+        cfg.write_text("out_width=abc\nout_height=336\nframe_rate=240\n"
+                       "brief_target=384\nbrief_max=512\ntile_budget=8\n"
+                       "max_displacement=16\n")
+        err = self.run_main(capsys, "run", "--config", cfg, "--scenario", "still",
+                            "--frames", 2, "--out", tmp_path / "o")
+        assert "cam.cfg" in err and "out_width" in err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--viewport", "abc"), ("--viewport", "0x10"), ("--texture-size", "64x"),
+        ("--velocity", "x"), ("--velocity", "1;2"),
+    ])
+    def test_bad_gen_argument(self, capsys, tmp_path, option, value):
+        err = self.run_main(capsys, "gen", "--out", tmp_path / "seq", "--frames", 2,
+                            option, value)
+        assert err.startswith("flowcam gen: ") and option in err
+
+    def test_empty_pgm_frame(self, capsys, tmp_path):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        write_pgm(Frame.from_array(np.zeros((64, 64), dtype=np.uint8)),
+                  seq / "frame_0000.pgm")
+        (seq / "frame_0001.pgm").write_bytes(b"P5\n0 0\n255\n")
+        err = self.run_main(capsys, "run", "--param-set", 6, "--seq", seq,
+                            "--out", tmp_path / "o")
+        assert "frame_0001.pgm" in err

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flowcam.errors import BoundsError, ConfigError, RangeError
+from flowcam.errors import BoundsError, ConfigError, FlowcamError, RangeError
 from flowcam.sensor_frontend import (
+    _CONFIG_KEYS,
     Frame,
     SensorConfig,
     crop,
@@ -210,6 +211,25 @@ class TestPgmIo:
         with pytest.raises(ConfigError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("size", [b"0 0", b"0 4", b"4 0"])
+    def test_rejects_empty_raster(self, tmp_path, size):
+        path = tmp_path / "empty.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n255\n")
+        with pytest.raises(ConfigError, match="empty.pgm"):
+            read_pgm(path)
+
+    # Each example rewrites the same file, so sharing tmp_path is harmless.
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(header=st.binary(max_size=24), raster=st.binary(max_size=40))
+    def test_only_typed_errors_escape(self, tmp_path, header, raster):
+        path = tmp_path / "fuzz.pgm"
+        path.write_bytes(b"P5" + header + raster)
+        try:
+            read_pgm(path)
+        except FlowcamError:
+            pass
+
 
 class TestConfigIo:
     def test_round_trip_with_crop(self, tmp_path):
@@ -237,6 +257,45 @@ class TestConfigIo:
         path.write_text("out_width=64\nbogus=1\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("out_width", "abc"), ("frame_rate", "fast"), ("tile_budget", "2.5"),
+        ("crop_x", ""), ("ratio_threshold", "0,8"), ("subsample_factor", "two"),
+    ])
+    def test_bad_value_names_file_and_key(self, tmp_path, key, value):
+        lines = dict(out_width="64", out_height="64", frame_rate="60",
+                     brief_target="64", brief_max="128", tile_budget="4",
+                     max_displacement="8", crop_x="0", crop_y="0")
+        lines[key] = value
+        path = tmp_path / "cam.cfg"
+        path.write_text("".join(f"{k}={v}\n" for k, v in lines.items()))
+        with pytest.raises(ConfigError, match=f"cam.cfg: {key}="):
+            load_config(path)
+
+    def test_missing_key_named(self, tmp_path):
+        path = tmp_path / "cam.cfg"
+        path.write_text("out_width=64\n")
+        with pytest.raises(ConfigError, match="missing key 'out_height'"):
+            load_config(path)
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "cam.cfg"
+        path.write_bytes(b"out_width=\xff\n")
+        with pytest.raises(ConfigError, match="cam.cfg"):
+            load_config(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), st.text(max_size=8)),
+                    max_size=14))
+    def test_only_typed_errors_escape(self, tmp_path, entries):
+        path = tmp_path / "fuzz.cfg"
+        path.write_text("".join(f"{k}={v}\n" for k, v in entries
+                                if "\n" not in v and "\r" not in v), encoding="utf-8")
+        try:
+            load_config(path)
+        except FlowcamError:
+            pass
 
     def test_invalid_budgets_rejected(self):
         with pytest.raises(ConfigError):
