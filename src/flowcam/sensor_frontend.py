@@ -7,6 +7,7 @@ unit's size bound) and models the achievable frame rates of the part.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,8 +97,8 @@ class SensorConfig:
             raise ConfigError(f"subsample_factor must be 1, 2 or 4, got {self.subsample_factor}")
         if self.subsample_mode not in SUBSAMPLE_MODES:
             raise ConfigError(f"unknown subsample_mode {self.subsample_mode!r}")
-        if self.frame_rate <= 0:
-            raise ConfigError("frame_rate must be positive")
+        if not (self.frame_rate > 0 and math.isfinite(self.frame_rate)):
+            raise ConfigError(f"frame_rate must be positive and finite, got {self.frame_rate}")
         if self.max_displacement <= 0:
             raise ConfigError("max_displacement must be positive")
         if not 0 < self.ratio_threshold <= 1:

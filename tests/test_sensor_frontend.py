@@ -231,6 +231,15 @@ class TestPgmIo:
             pass
 
 
+def write_config(path, **overrides):
+    values = dict(out_width="64", out_height="64", frame_rate="60",
+                  brief_target="64", brief_max="128", tile_budget="4",
+                  max_displacement="8", crop_x="0", crop_y="0")
+    values.update(overrides)
+    path.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+    return path
+
+
 class TestConfigIo:
     def test_round_trip_with_crop(self, tmp_path):
         cfg = SensorConfig(
@@ -263,13 +272,14 @@ class TestConfigIo:
         ("crop_x", ""), ("ratio_threshold", "0,8"), ("subsample_factor", "two"),
     ])
     def test_bad_value_names_file_and_key(self, tmp_path, key, value):
-        lines = dict(out_width="64", out_height="64", frame_rate="60",
-                     brief_target="64", brief_max="128", tile_budget="4",
-                     max_displacement="8", crop_x="0", crop_y="0")
-        lines[key] = value
-        path = tmp_path / "cam.cfg"
-        path.write_text("".join(f"{k}={v}\n" for k, v in lines.items()))
+        path = write_config(tmp_path / "cam.cfg", **{key: value})
         with pytest.raises(ConfigError, match=f"cam.cfg: {key}="):
+            load_config(path)
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "0", "-1"])
+    def test_frame_rate_must_be_positive_and_finite(self, tmp_path, rate):
+        path = write_config(tmp_path / "cam.cfg", frame_rate=rate)
+        with pytest.raises(ConfigError, match="frame_rate"):
             load_config(path)
 
     def test_missing_key_named(self, tmp_path):
@@ -290,8 +300,7 @@ class TestConfigIo:
                     max_size=14))
     def test_only_typed_errors_escape(self, tmp_path, entries):
         path = tmp_path / "fuzz.cfg"
-        path.write_text("".join(f"{k}={v}\n" for k, v in entries
-                                if "\n" not in v and "\r" not in v), encoding="utf-8")
+        path.write_text("".join(f"{k}={v}\n" for k, v in entries), encoding="utf-8")
         try:
             load_config(path)
         except FlowcamError:
