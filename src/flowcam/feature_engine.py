@@ -274,12 +274,6 @@ PAIR_TABLE = _load_pair_table()
 _ROTATED = _rotated_tables(PAIR_TABLE)
 
 
-def quantize_orientation(orientation: float) -> int:
-    """Quantization bin (12-degree steps) for an angle in radians."""
-    step = 2 * math.pi / ORIENTATION_BINS
-    return int(math.floor(orientation / step + 0.5)) % ORIENTATION_BINS
-
-
 def describe_batch(frame: Frame, xs: np.ndarray, ys: np.ndarray,
                    orientations: np.ndarray) -> np.ndarray:
     """Descriptors for a batch of corners as an (n, 32) uint8 array."""

@@ -4,6 +4,15 @@ Every previous-frame feature is matched against the current-frame features
 inside a square window of half-width `max_displacement` (Chebyshev gate).
 The best and second-best Hamming scores are both kept so an optional ratio
 test can suppress ambiguous matches downstream.
+
+`match_features` buckets the current features into square cells of side
+`max_displacement`. A window of half-width d around a point in one cell
+reaches no further than the adjacent cells, so the 3x3 cell neighbourhood
+holds every candidate. The cells become one table, a row per occupied cell
+padded with -1 to the fullest cell, and each previous feature gathers its
+nine rows into a fixed block that is gated, scored and reduced row-wise.
+At the pipeline's default gate of 16 the cells are the 16x16 detection
+tiles, so a row holds at most `tile_budget` features.
 """
 
 from __future__ import annotations
@@ -76,84 +85,53 @@ def match_features(
         return []
 
     d = max_displacement
-    px = np.array([f.x for f in prev], dtype=np.int64)
-    py = np.array([f.y for f in prev], dtype=np.int64)
-    cx = np.array([f.x for f in curr], dtype=np.int64)
-    cy = np.array([f.y for f in curr], dtype=np.int64)
-    pdesc = _pack_descriptors(prev)
-    cdesc = _pack_descriptors(curr)
+    # Stable row-major order; an index into the sorted curr is its rank.
+    px, py = np.array([(f.x, f.y) for f in prev], dtype=np.int64).T
+    cx, cy = np.array([(f.x, f.y) for f in curr], dtype=np.int64).T
+    p_order = np.lexsort((px, py))
+    c_order = np.lexsort((cx, cy))
+    px, py, pdesc = px[p_order], py[p_order], _pack_descriptors(prev)[p_order]
+    cx, cy, cdesc = cx[c_order], cy[c_order], _pack_descriptors(curr)[c_order]
 
-    # Row-major processing order for prev; deterministic rank for curr.
-    prev_order = np.lexsort((np.arange(len(prev)), px, py))
-    curr_rank_order = np.lexsort((np.arange(len(curr)), cx, cy))
-    curr_rank = np.empty(len(curr), dtype=np.int64)
-    curr_rank[curr_rank_order] = np.arange(len(curr))
+    # Cell ids are row * n_cols + column, with an empty spare column on each
+    # side of the occupied ones, so the column neighbours of an edge cell
+    # never alias cells of the adjacent row.
+    x0 = min(px.min(), cx.min()) // d - 1
+    n_cols = max(px.max(), cx.max()) // d - x0 + 2
+    c_cell = (cy // d) * n_cols + cx // d - x0
+    p_cell = (py // d) * n_cols + px // d - x0
 
-    # Uniform grid over curr with cells of side max_displacement: all
-    # candidates for a prev feature live in the 3x3 cell neighborhood.
-    cell_cx = cx // d
-    cell_cy = cy // d
-    n_cells_x = int(cell_cx.max()) + 2
-    cell_id = cell_cy * n_cells_x + cell_cx
-    grid_order = np.argsort(cell_id, kind="stable")
-    sorted_cells = cell_id[grid_order]
+    # One table row per occupied cell, padded with -1 to the fullest cell,
+    # plus a last all -1 row for empty neighbours.
+    by_cell = np.argsort(c_cell, kind="stable")
+    cells, row_of, counts = np.unique(c_cell[by_cell], return_inverse=True, return_counts=True)
+    table = np.full((cells.size + 1, counts.max()), -1, dtype=np.int64)
+    table[row_of, np.arange(by_cell.size) - (np.cumsum(counts) - counts)[row_of]] = by_cell
 
-    pairs_p: list[np.ndarray] = []
-    pairs_c: list[np.ndarray] = []
-    pcell_x = px[prev_order] // d
-    pcell_y = py[prev_order] // d
-    for oy in (-1, 0, 1):
-        for ox in (-1, 0, 1):
-            nx = pcell_x + ox
-            want = (pcell_y + oy) * n_cells_x + nx
-            # Neighbor columns outside the grid would alias cells of the
-            # adjacent row; mark them as not-a-cell.
-            want[(nx < 0) | (nx >= n_cells_x)] = -1
-            lo = np.searchsorted(sorted_cells, want, side="left")
-            hi = np.searchsorted(sorted_cells, want, side="right")
-            counts = hi - lo
-            if counts.sum() == 0:
-                continue
-            p_idx = np.repeat(np.arange(prev_order.size), counts)
-            offsets = np.arange(counts.sum()) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            c_idx = grid_order[np.repeat(lo, counts) + offsets]
-            pairs_p.append(p_idx)
-            pairs_c.append(c_idx)
-    if not pairs_p:
-        return []
-    pair_p = np.concatenate(pairs_p)  # indices into prev_order
-    pair_c = np.concatenate(pairs_c)  # indices into curr
+    # Each prev feature gathers its 3x3 cell neighbourhood: (n_prev, 9*m).
+    offsets = (np.arange(-1, 2)[:, None] * n_cols + np.arange(-1, 2)).ravel()
+    want = p_cell[:, None] + offsets
+    at = np.minimum(np.searchsorted(cells, want), cells.size - 1)
+    cand = table[np.where(cells[at] == want, at, cells.size)].reshape(px.size, -1)
 
-    ddx = cx[pair_c] - px[prev_order][pair_p]
-    ddy = cy[pair_c] - py[prev_order][pair_p]
-    cheb = np.maximum(np.abs(ddx), np.abs(ddy))
-    inside = cheb <= d
-    if not inside.any():
-        return []
-    pair_p, pair_c = pair_p[inside], pair_c[inside]
-    ddx, ddy, cheb = ddx[inside], ddy[inside], cheb[inside]
+    cheb = np.maximum(np.abs(cx[cand] - px[:, None]), np.abs(cy[cand] - py[:, None]))
+    gated = (cand >= 0) & (cheb <= d)
 
-    ham = np.bitwise_count(
-        pdesc[prev_order][pair_p] ^ cdesc[pair_c]
-    ).sum(axis=1).astype(np.int64)
+    # Hamming only where the gate admits; the NO_COMPETITOR filler makes the
+    # second-smallest entry of each row the second score.
+    ham = np.full(cand.shape, NO_COMPETITOR, dtype=np.int64)
+    p_idx, slot = np.nonzero(gated)
+    ham[p_idx, slot] = np.bitwise_count(pdesc[p_idx] ^ cdesc[cand[p_idx, slot]]).sum(axis=1)
+    second = np.partition(ham, 1, axis=1)[:, 1]
 
     # Candidate preference packed into one integer: Hamming, then Chebyshev
     # displacement, then row-major rank of the current feature.
-    key = (ham << 40) | (cheb << 24) | curr_rank[pair_c]
-    order = np.lexsort((key, pair_p))
-    pair_p, pair_c, key, ham = pair_p[order], pair_c[order], key[order], ham[order]
-    ddx, ddy = ddx[order], ddy[order]
-
-    starts = np.flatnonzero(np.r_[True, pair_p[1:] != pair_p[:-1]])
-    has_second = np.diff(np.r_[starts, pair_p.size]) > 1
-    second = np.full(starts.size, NO_COMPETITOR, dtype=np.int64)
-    second[has_second] = ham[starts[has_second] + 1]
-
-    p = prev_order[pair_p[starts]]
-    rows = np.stack([px[p], py[p], ddx[starts], ddy[starts], ham[starts], second], axis=1)
-    return [FlowVector(*row) for row in rows.tolist()]
+    key = np.where(gated, (ham << 40) | (cheb << 24) | cand, np.iinfo(np.int64).max)
+    pick = key.argmin(axis=1)
+    rows = np.arange(px.size)
+    best = cand[rows, pick]
+    out = np.stack([px, py, cx[best] - px, cy[best] - py, ham[rows, pick], second], axis=1)
+    return [FlowVector(*row) for row in out[gated.any(axis=1)].tolist()]
 
 
 def match_features_bruteforce(
@@ -161,7 +139,7 @@ def match_features_bruteforce(
 ) -> list[FlowVector]:
     """All-pairs reference matcher with the same gate and tie rules.
 
-    The grid-accelerated `match_features` must be output-identical to this.
+    `match_features` must be output-identical to this.
     """
     if max_displacement <= 0:
         raise RangeError(f"max_displacement must be positive, got {max_displacement}")

@@ -43,7 +43,6 @@ from .sensor_frontend import (
 )
 from .track_analyzer import (
     analyze,
-    link_tracks,
     track_stats,
     write_frame_report_csv,
     write_ground_truth_csv,
@@ -402,8 +401,7 @@ def throughput_report(
     """
     if len(frames) < 50:
         raise RangeError(f"need at least 50 frames for stable timing, got {len(frames)}")
-    vectors, report = run_pipeline(config, frames, initial_threshold)
-    report.summary.update(track_stats(link_tracks(vectors)))
+    _, report = run_pipeline(config, frames, initial_threshold)
     report.hw_reference = hardware_reference(config.out_height, config.brief_target)
     try:
         report.hw_model_fps = max_frame_rate(config.out_height, config.brief_target)

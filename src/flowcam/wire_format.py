@@ -9,6 +9,7 @@ sentinel records whose six fields are all 0xFFFF. Valid scores never exceed
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,41 +27,42 @@ SCORE_LIMIT = 256
 OFV_MAGIC = b"OFV1"
 
 
+# Field names and inclusive bounds in wire order.
+_FIELDS = ("x_prev", "y_prev", "dx", "dy", "best_score", "second_score")
+_LOW = np.array([0, 0, -(2**15), -(2**15), 0, 0])
+_HIGH = np.array([COORD_LIMIT - 1, COORD_LIMIT - 1, 2**15 - 1, 2**15 - 1,
+                  SCORE_LIMIT, SCORE_LIMIT])
+
+
 def encode(vectors: list[FlowVector]) -> bytes:
     """Pack vectors into whole 192-byte lines of 16 records."""
     if not vectors:
         return b""
-    n = len(vectors)
-    fields = np.empty((n, 6), dtype="<u2")
-    checks = (
-        ("x_prev", [v.x_prev for v in vectors], 0, COORD_LIMIT - 1),
-        ("y_prev", [v.y_prev for v in vectors], 0, COORD_LIMIT - 1),
-        ("dx", [v.dx for v in vectors], -(2**15), 2**15 - 1),
-        ("dy", [v.dy for v in vectors], -(2**15), 2**15 - 1),
-        ("best_score", [v.best_score for v in vectors], 0, SCORE_LIMIT),
-        ("second_score", [v.second_score for v in vectors], 0, SCORE_LIMIT),
-    )
-    for col, (name, values, lo, hi) in enumerate(checks):
-        arr = np.asarray(values, dtype=np.int64)
-        bad = np.flatnonzero((arr < lo) | (arr > hi))
-        if bad.size:
-            raise EncodingError(
-                f"{name} out of range in vector {bad[0]}: {arr[bad[0]]} "
-                f"not in [{lo}, {hi}]"
-            )
-        if name in ("dx", "dy"):
-            fields[:, col] = arr.astype("<i2").view("<u2")
-        else:
-            fields[:, col] = arr.astype("<u2")
-    pad = -n % VECTORS_PER_LINE
-    if pad:
-        sentinels = np.full((pad, 6), SENTINEL_FIELD, dtype="<u2")
-        fields = np.vstack([fields, sentinels])
-    return fields.tobytes()
+    table = np.fromiter(
+        chain.from_iterable(
+            (v.x_prev, v.y_prev, v.dx, v.dy, v.best_score, v.second_score) for v in vectors
+        ),
+        dtype=np.int64, count=6 * len(vectors),
+    ).reshape(-1, 6)
+    bad = (table < _LOW) | (table > _HIGH)
+    if bad.any():
+        col = int(bad.any(axis=0).argmax())
+        row = int(bad[:, col].argmax())
+        raise EncodingError(
+            f"{_FIELDS[col]} out of range in vector {row}: {table[row, col]} "
+            f"not in [{_LOW[col]}, {_HIGH[col]}]"
+        )
+    # Every bound fits int16; dx and dy travel as two's complement.
+    pad = np.full((-len(vectors) % VECTORS_PER_LINE, 6), SENTINEL_FIELD, dtype="<u2")
+    return np.vstack([table.astype("<i2").view("<u2"), pad]).tobytes()
 
 
 def decode(data: bytes) -> list[FlowVector]:
-    """Inverse of `encode`: drop sentinels, reject malformed payloads."""
+    """Inverse of `encode`: drop sentinels, reject malformed payloads.
+
+    Sentinels only pad the end of a payload, so a real record after a
+    sentinel is rejected rather than silently shifted into its slot.
+    """
     if len(data) % LINE_BYTES != 0:
         raise FramingError(
             f"stream length {len(data)} is not a multiple of {LINE_BYTES}"
@@ -69,7 +71,13 @@ def decode(data: bytes) -> list[FlowVector]:
         return []
     fields = np.frombuffer(data, dtype="<u2").reshape(-1, 6)
     sentinel = (fields == SENTINEL_FIELD).all(axis=1)
-    real = fields[~sentinel]
+    n_real = int(sentinel.argmax()) if sentinel.any() else len(fields)
+    stray = np.flatnonzero(~sentinel[n_real:])
+    if stray.size:
+        raise PayloadError(
+            f"record {n_real + stray[0]} follows the sentinel record {n_real}"
+        )
+    real = fields[:n_real]
     scores = real[:, 4:6]
     bad = np.flatnonzero((scores > SCORE_LIMIT).any(axis=1))
     if bad.size:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowcam.errors import RangeError
@@ -150,14 +150,49 @@ class TestMatchFeatures:
     @given(
         n_prev=st.integers(0, 64),
         n_curr=st.integers(0, 64),
-        gate=st.integers(1, 70),
+        gate=st.integers(1, 79),
+        span=st.integers(3, 700),
+        layout=st.sampled_from(["uniform", "crowded", "cell-edges"]),
+        pool=st.sampled_from([0, 1, 2, 8]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=250, deadline=None)
-    def test_grid_matches_bruteforce(self, n_prev, n_curr, gate, seed):
+    @example(n_prev=5, n_curr=1, gate=4, span=40, layout="uniform", pool=0, seed=0)
+    @example(n_prev=20, n_curr=1, gate=3, span=6, layout="crowded", pool=1, seed=1)
+    @example(n_prev=30, n_curr=30, gate=1, span=700, layout="cell-edges", pool=2, seed=2)
+    @settings(max_examples=300, deadline=None)
+    def test_grid_matches_bruteforce(self, n_prev, n_curr, gate, span, layout, pool, seed):
+        """Oracle over the layouts a bucketed table can get wrong: one cell
+        holding many features beside sparse ones, coordinates on both sides
+        of every cell border (x = 0 and the last column included), spans far
+        wider than the gate, a single current feature, and descriptors drawn
+        from a small pool (pool > 0) so that Hamming and Chebyshev ties are
+        common and the rank tie-break decides."""
         rng = np.random.default_rng(seed)
-        prev = random_features(rng, n_prev)
-        curr = random_features(rng, n_curr)
+        descs = rng.integers(0, 256, size=(pool, 32), dtype=np.uint8)
+        borders = np.unique(np.clip(
+            np.arange(0, span + gate, gate)[:, None] + np.array([-1, 0, 1]), 0, span - 1
+        ))
+        cell = rng.integers(0, -(-span // gate)) * gate
+
+        def coords(n):
+            if layout == "cell-edges":
+                return rng.choice(borders, size=(n, 2))
+            xy = rng.integers(0, span, size=(n, 2))
+            if layout == "crowded":
+                k = rng.integers(0, n + 1)
+                xy[:k] = np.minimum(cell + rng.integers(0, gate, size=(k, 2)), span - 1)
+            return xy
+
+        def features(n):
+            out = []
+            for x, y in coords(n).tolist():
+                d = descs[rng.integers(0, pool)] if pool else rng.integers(
+                    0, 256, size=32, dtype=np.uint8)
+                out.append(feat(x, y, d.tobytes()))
+            return out
+
+        prev = features(n_prev)
+        curr = features(n_curr)
         assert match_features(prev, curr, gate) == match_features_bruteforce(
             prev, curr, gate
         )

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flowcam.errors import EncodingError, FramingError, PayloadError
+from flowcam.errors import EncodingError, FlowcamError, FramingError, PayloadError
 from flowcam.matcher import FlowVector
-from flowcam.wire_format import LINE_BYTES, decode, encode, read_ofv, write_ofv
+from flowcam.wire_format import (
+    LINE_BYTES,
+    SENTINEL_FIELD,
+    VECTORS_PER_LINE,
+    decode,
+    encode,
+    read_ofv,
+    write_ofv,
+)
 
 
 def random_vectors(rng, n):
@@ -29,6 +37,22 @@ vector_strategy = st.builds(
     dx=st.integers(-2048, 2048),
     dy=st.integers(-2048, 2048),
     scores=st.tuples(st.integers(0, 256), st.integers(0, 256)),
+)
+
+# Malformed payloads: raw bytes, or whole lines of records whose fields sit at
+# the edges (score limit, sign bit, sentinel), with sentinel records anywhere.
+record_strategy = st.one_of(
+    st.just(b"\xff" * 12),
+    st.lists(st.sampled_from([0, 7, 256, 257, 0x8000, SENTINEL_FIELD]),
+             min_size=6, max_size=6).map(lambda f: np.array(f, dtype="<u2").tobytes()),
+)
+payload_strategy = st.one_of(
+    st.binary(max_size=3 * LINE_BYTES),
+    st.lists(
+        st.lists(record_strategy, min_size=VECTORS_PER_LINE, max_size=VECTORS_PER_LINE)
+        .map(b"".join),
+        max_size=3,
+    ).map(b"".join),
 )
 
 
@@ -82,6 +106,25 @@ class TestDecode:
         with pytest.raises(PayloadError):
             decode(bytes(line))
 
+    @pytest.mark.parametrize("n, sentinels, record", [
+        (3, [1], 2),  # vectors 0 and 2 with a sentinel in slot 1
+        (17, range(16), 16),  # an all-sentinel line before a real line
+    ])
+    def test_real_record_after_sentinel_rejected(self, n, sentinels, record):
+        data = bytearray(encode(random_vectors(np.random.default_rng(3), n)))
+        for i in sentinels:
+            data[12 * i : 12 * i + 12] = b"\xff" * 12
+        with pytest.raises(PayloadError, match=f"record {record} follows"):
+            decode(bytes(data))
+
+    @given(data=payload_strategy)
+    @settings(max_examples=300, deadline=None)
+    def test_only_typed_errors_escape(self, data):
+        try:
+            decode(data)
+        except FlowcamError:
+            pass
+
     @given(vectors=st.lists(vector_strategy, max_size=80))
     @settings(max_examples=250, deadline=None)
     def test_round_trip_property(self, vectors):
@@ -113,3 +156,24 @@ class TestOfvStream:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FramingError):
             read_ofv(path)
+
+    # Each example rewrites the same file, so sharing tmp_path is harmless.
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        header=st.one_of(
+            st.binary(max_size=20),
+            st.tuples(st.integers(0, 4), st.binary(min_size=8, max_size=8)).map(
+                lambda t: b"OFV1" + t[1] + t[0].to_bytes(4, "little")),
+        ),
+        blocks=st.lists(st.tuples(st.integers(0, 3), payload_strategy), max_size=4),
+        cut=st.integers(0, 8),
+    )
+    def test_only_typed_errors_escape(self, tmp_path, header, blocks, cut):
+        path = tmp_path / "fuzz.ofv"
+        body = b"".join(n.to_bytes(4, "little") + payload for n, payload in blocks)
+        path.write_bytes((header + body)[: len(header + body) - cut])
+        try:
+            read_ofv(path)
+        except FlowcamError:
+            pass
