@@ -3,12 +3,11 @@
 from .feature_engine import (
     DetectorState,
     Feature,
-    compute_orientation,
-    describe_brief,
+    FeatureSet,
     detect_fast,
     update_threshold,
 )
-from .matcher import FlowVector, hamming, match_features, ratio_filter
+from .matcher import FlowVector, VectorBatch, match_features, ratio_filter
 from .pipeline import (
     PARAMETER_SETS,
     RunReport,
@@ -47,6 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DetectorState",
     "Feature",
+    "FeatureSet",
     "FlowVector",
     "Frame",
     "MotionSpec",
@@ -55,18 +55,16 @@ __all__ = [
     "SensorConfig",
     "TextureSpec",
     "Track",
+    "VectorBatch",
     "accuracy_metrics",
     "analyze",
-    "compute_orientation",
     "crop",
     "decode",
-    "describe_brief",
     "detect_fast",
     "downscale_for_of",
     "encode",
     "generate_texture",
     "ground_truth_flow",
-    "hamming",
     "link_tracks",
     "match_features",
     "max_frame_rate",

@@ -23,7 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import FrameSizeError, MarginError, RangeError
+from .errors import FrameSizeError, RangeError
 from .sensor_frontend import Frame
 
 BORDER_MARGIN = 15
@@ -44,7 +44,11 @@ _ARC = 9
 
 @dataclass(frozen=True)
 class Feature:
-    """A described corner in OF-frame coordinates."""
+    """One described corner in OF-frame coordinates, as a record.
+
+    The pipeline keeps features in a `FeatureSet`; records are built only
+    when a set is iterated, for oracles and outside checkers.
+    """
 
     x: int
     y: int
@@ -55,6 +59,33 @@ class Feature:
     def __post_init__(self) -> None:
         if len(self.descriptor) * 8 != DESCRIPTOR_BITS:
             raise RangeError(f"descriptor must be {DESCRIPTOR_BITS} bits")
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureSet:
+    """One frame's described corners, one array entry per feature.
+
+    `xs`, `ys` and `scores` are int64, `orientations` float64 radians in
+    [0, 2pi), and `desc` the packed 256-bit descriptors as a C-contiguous
+    (n, 32) uint8 array, bit i of a descriptor at byte i // 8, bit i % 8.
+    Entries are in row-major corner order. Iterating yields `Feature`
+    records.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    scores: np.ndarray
+    orientations: np.ndarray
+    desc: np.ndarray
+
+    def __len__(self) -> int:
+        return self.xs.size
+
+    def __iter__(self):
+        columns = (self.xs.tolist(), self.ys.tolist(), self.scores.tolist(),
+                   self.orientations.tolist(), self.desc)
+        for x, y, score, orientation, row in zip(*columns):
+            yield Feature(x, y, score, orientation, row.tobytes())
 
 
 @dataclass(frozen=True)
@@ -75,14 +106,15 @@ class DetectorState:
             raise RangeError("tile_budget must be in [2, 8]")
 
 
-def detect_fast(frame: Frame, threshold: int) -> list[tuple[int, int, int]]:
+def detect_fast(frame: Frame, threshold: int) -> np.ndarray:
     """FAST-9/16 corners with scores, 3x3 non-maximum suppressed.
 
     A pixel is a corner when at least 9 contiguous pixels of its radius-3
     circle are all brighter than center+threshold or all darker than
     center-threshold. The score is the largest threshold at which the test
     still passes. Corners closer than 15 pixels to a border are excluded so
-    the descriptor patch always fits. Returned in row-major order.
+    the descriptor patch always fits. Returned in row-major order as an
+    (n, 3) int64 array of (x, y, score) rows.
     """
     if frame.width < 32 or frame.height < 32:
         raise FrameSizeError(
@@ -110,7 +142,7 @@ def detect_fast(frame: Frame, threshold: int) -> list[tuple[int, int, int]]:
     np.logical_or(bright_compass >= 2, dark_compass >= 2, out=candidate[m : h - m, m : w - m])
     idx = np.flatnonzero(candidate)  # row-major flat positions, ascending
     if idx.size == 0:
-        return []
+        return np.empty((0, 3), dtype=np.int64)
 
     diffs = flat[idx + (_CIRCLE_DY * w + _CIRCLE_DX)[:, None]].astype(np.int16)
     diffs -= flat[idx]
@@ -118,11 +150,11 @@ def detect_fast(frame: Frame, threshold: int) -> list[tuple[int, int, int]]:
     score = np.maximum(_arc_strength(diffs), _arc_strength(-diffs)) - 1
     keep = score >= threshold
     if not keep.any():
-        return []
+        return np.empty((0, 3), dtype=np.int64)
     idx, score = idx[keep], score[keep]
     survive = _nms(idx, score, h, w)
     ys, xs = np.divmod(idx[survive], w)
-    return list(zip(xs.tolist(), ys.tolist(), score[survive].tolist()))
+    return np.column_stack((xs, ys, score[survive].astype(np.int64)))
 
 
 def _arc_strength(diffs: np.ndarray) -> np.ndarray:
@@ -157,23 +189,21 @@ def _nms(idx: np.ndarray, score: np.ndarray, h: int, w: int) -> np.ndarray:
 
 
 def enforce_tile_budget(
-    corners: list[tuple[int, int, int]],
+    corners: np.ndarray,
     frame_width: int,
     frame_height: int,
     tile_budget: int,
-) -> list[tuple[int, int, int]]:
+) -> np.ndarray:
     """Keep at most `tile_budget` corners per 16x16 tile, best score first.
 
-    Score ties go to the smaller row-major position. The surviving corners
-    keep their row-major order.
+    `corners` are (x, y, score) rows. Score ties go to the smaller row-major
+    position. The surviving corners come out in row-major order.
     """
     if not 2 <= tile_budget <= 8:
         raise RangeError(f"tile_budget must be in [2, 8], got {tile_budget}")
-    if not corners:
-        return []
-    xs = np.array([c[0] for c in corners], dtype=np.int64)
-    ys = np.array([c[1] for c in corners], dtype=np.int64)
-    ss = np.array([c[2] for c in corners], dtype=np.int64)
+    if not len(corners):
+        return corners
+    xs, ys, ss = corners.T
     tiles_x = (frame_width + 15) // 16
     tile_id = (ys // 16) * tiles_x + (xs // 16)
     order = np.lexsort((xs, ys, -ss, tile_id))
@@ -184,14 +214,11 @@ def enforce_tile_budget(
     start_pos = np.maximum.accumulate(np.where(is_start, np.arange(order.size), 0))
     rank = np.arange(order.size) - start_pos
     kept = order[rank < tile_budget]
-    kept_sorted = kept[np.lexsort((xs[kept], ys[kept]))]
-    return [corners[i] for i in kept_sorted]
+    return corners[kept[np.lexsort((xs[kept], ys[kept]))]]
 
 
-def cap_global(
-    corners: list[tuple[int, int, int]], brief_max: int
-) -> list[tuple[int, int, int]]:
-    """Drop everything after the first `brief_max` corners.
+def cap_global(corners: np.ndarray, brief_max: int) -> np.ndarray:
+    """Drop everything after the first `brief_max` corner rows.
 
     The detector works top to bottom, so the cap starves the bottom of the
     frame first. Input must already be in row-major order.
@@ -213,15 +240,6 @@ _DISC_DX, _DISC_DY = _disc_offsets(PATCH_RADIUS)
 _DISC_XY = np.stack([_DISC_DX, _DISC_DY], axis=1).astype(np.float64)
 
 
-def _check_margin(frame: Frame, x: int, y: int) -> None:
-    if not (PATCH_RADIUS <= x < frame.width - PATCH_RADIUS
-            and PATCH_RADIUS <= y < frame.height - PATCH_RADIUS):
-        raise MarginError(
-            f"corner ({x}, {y}) closer than {PATCH_RADIUS} px to the border of "
-            f"a {frame.width}x{frame.height} frame"
-        )
-
-
 def compute_orientations(frame: Frame, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Intensity-centroid orientation for a batch of corners, in [0, 2pi)."""
     w = frame.width
@@ -233,13 +251,6 @@ def compute_orientations(frame: Frame, xs: np.ndarray, ys: np.ndarray) -> np.nda
     angles[angles < 0] += 2 * math.pi
     angles[angles >= 2 * math.pi] = 0.0
     return angles
-
-
-def compute_orientation(frame: Frame, corner: tuple[int, int]) -> float:
-    """Orientation of one corner via the patch intensity centroid."""
-    x, y = corner
-    _check_margin(frame, x, y)
-    return float(compute_orientations(frame, np.array([x]), np.array([y]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +299,6 @@ def describe_batch(frame: Frame, xs: np.ndarray, ys: np.ndarray,
     return np.packbits(bits, axis=1, bitorder="little")
 
 
-def describe_brief(frame: Frame, corner: tuple[int, int], orientation: float) -> bytes:
-    """256-bit descriptor: bit i set when intensity at p_i < intensity at q_i.
-
-    The point pairs come from the fixed table shipped with the package,
-    rotated by the orientation quantized to 12-degree steps and sampled with
-    nearest-neighbor lookup.
-    """
-    x, y = corner
-    _check_margin(frame, x, y)
-    packed = describe_batch(
-        frame, np.array([x]), np.array([y]), np.array([orientation], dtype=np.float64)
-    )
-    return packed[0].tobytes()
-
-
 def update_threshold(state: DetectorState, produced_count: int) -> DetectorState:
     """One controller step toward the descriptor target.
 
@@ -318,32 +314,16 @@ def update_threshold(state: DetectorState, produced_count: int) -> DetectorState
     return replace(state, threshold=max(1, min(255, new)))
 
 
-def select_corners(frame: Frame, state: DetectorState) -> list[tuple[int, int, int]]:
+def select_corners(frame: Frame, state: DetectorState) -> np.ndarray:
     """Detection half of the engine: detect, tile budget, global cap."""
     corners = detect_fast(frame, state.threshold)
     corners = enforce_tile_budget(corners, frame.width, frame.height, state.tile_budget)
     return cap_global(corners, state.brief_max)
 
 
-def describe_corners(frame: Frame, corners: list[tuple[int, int, int]]) -> list[Feature]:
+def describe_corners(frame: Frame, corners: np.ndarray) -> FeatureSet:
     """Description half of the engine: orient and describe selected corners."""
-    if not corners:
-        return []
-    xs = np.array([c[0] for c in corners], dtype=np.int64)
-    ys = np.array([c[1] for c in corners], dtype=np.int64)
+    xs, ys, scores = corners.T
     orientations = compute_orientations(frame, xs, ys)
-    packed = describe_batch(frame, xs, ys, orientations)
-    return [
-        Feature(int(x), int(y), int(s), float(o), row.tobytes())
-        for (x, y, s), o, row in zip(corners, orientations, packed)
-    ]
-
-
-def extract_features(frame: Frame, state: DetectorState) -> tuple[list[Feature], int]:
-    """Full engine pass: detect, budget, cap, orient and describe.
-
-    Returns the feature list and the produced descriptor count the
-    controller consumes (after the per-tile budget and the global cap).
-    """
-    features = describe_corners(frame, select_corners(frame, state))
-    return features, len(features)
+    return FeatureSet(xs, ys, scores, orientations,
+                      describe_batch(frame, xs, ys, orientations))

@@ -13,6 +13,9 @@ padded with -1 to the fullest cell, and each previous feature gathers its
 nine rows into a fixed block that is gated, scored and reduced row-wise.
 At the pipeline's default gate of 16 the cells are the 16x16 detection
 tiles, so a row holds at most `tile_budget` features.
+
+Matching consumes two `FeatureSet`s and returns a `VectorBatch`: one (n, 6)
+integer array per frame, already in wire field order.
 """
 
 from __future__ import annotations
@@ -22,14 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError
-from .feature_engine import DESCRIPTOR_BITS, Feature
+from .feature_engine import FeatureSet
 
 NO_COMPETITOR = 256  # second score when the gate admits a single candidate
 
 
 @dataclass(frozen=True)
 class FlowVector:
-    """One motion vector: previous position, displacement and both scores."""
+    """One motion vector: previous position, displacement and both scores.
+
+    A record view: the pipeline keeps vectors in a `VectorBatch`, and
+    records are built only when a batch is iterated.
+    """
 
     x_prev: int
     y_prev: int
@@ -54,21 +61,38 @@ class FlowVector:
         return self.y_prev + self.dy
 
 
-def hamming(d1: bytes, d2: bytes) -> int:
-    """Number of differing bits between two 256-bit descriptors."""
-    if len(d1) * 8 != DESCRIPTOR_BITS or len(d2) * 8 != DESCRIPTOR_BITS:
-        raise RangeError("descriptors must be 256 bits")
-    return (int.from_bytes(d1, "little") ^ int.from_bytes(d2, "little")).bit_count()
+@dataclass(frozen=True, eq=False)
+class VectorBatch:
+    """One frame's flow vectors as an (n, 6) integer array `rows`.
 
+    Columns are the wire fields in transmission order: x_prev, y_prev, dx,
+    dy, best_score, second_score. Iterating yields `FlowVector` records;
+    two batches are equal when their rows are.
+    """
 
-def _pack_descriptors(features: list[Feature]) -> np.ndarray:
-    blob = b"".join(f.descriptor for f in features)
-    return np.frombuffer(blob, dtype="<u8").reshape(len(features), 4)
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return (FlowVector(*row) for row in self.rows.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VectorBatch):
+            return NotImplemented
+        return np.array_equal(self.rows, other.rows)
+
+    __hash__ = None
+
+    @classmethod
+    def empty(cls) -> VectorBatch:
+        return cls(np.empty((0, 6), dtype=np.int64))
 
 
 def match_features(
-    prev: list[Feature], curr: list[Feature], max_displacement: int
-) -> list[FlowVector]:
+    prev: FeatureSet, curr: FeatureSet, max_displacement: int
+) -> VectorBatch:
     """Match previous-frame features to current-frame features.
 
     Candidates are the current features within Chebyshev distance
@@ -81,17 +105,16 @@ def match_features(
     """
     if max_displacement <= 0:
         raise RangeError(f"max_displacement must be positive, got {max_displacement}")
-    if not prev or not curr:
-        return []
+    if not len(prev) or not len(curr):
+        return VectorBatch.empty()
 
     d = max_displacement
     # Stable row-major order; an index into the sorted curr is its rank.
-    px, py = np.array([(f.x, f.y) for f in prev], dtype=np.int64).T
-    cx, cy = np.array([(f.x, f.y) for f in curr], dtype=np.int64).T
-    p_order = np.lexsort((px, py))
-    c_order = np.lexsort((cx, cy))
-    px, py, pdesc = px[p_order], py[p_order], _pack_descriptors(prev)[p_order]
-    cx, cy, cdesc = cx[c_order], cy[c_order], _pack_descriptors(curr)[c_order]
+    # Descriptors are compared as four 64-bit words.
+    p_order = np.lexsort((prev.xs, prev.ys))
+    c_order = np.lexsort((curr.xs, curr.ys))
+    px, py, pdesc = prev.xs[p_order], prev.ys[p_order], prev.desc.view(np.uint64)[p_order]
+    cx, cy, cdesc = curr.xs[c_order], curr.ys[c_order], curr.desc.view(np.uint64)[c_order]
 
     # Cell ids are row * n_cols + column, with an empty spare column on each
     # side of the occupied ones, so the column neighbours of an edge cell
@@ -131,47 +154,17 @@ def match_features(
     rows = np.arange(px.size)
     best = cand[rows, pick]
     out = np.stack([px, py, cx[best] - px, cy[best] - py, ham[rows, pick], second], axis=1)
-    return [FlowVector(*row) for row in out[gated.any(axis=1)].tolist()]
+    return VectorBatch(out[gated.any(axis=1)])
 
 
-def match_features_bruteforce(
-    prev: list[Feature], curr: list[Feature], max_displacement: int
-) -> list[FlowVector]:
-    """All-pairs reference matcher with the same gate and tie rules.
-
-    `match_features` must be output-identical to this.
-    """
-    if max_displacement <= 0:
-        raise RangeError(f"max_displacement must be positive, got {max_displacement}")
-    curr_ranked = sorted(range(len(curr)), key=lambda i: (curr[i].y, curr[i].x, i))
-    vectors = []
-    for f in sorted(prev, key=lambda f: (f.y, f.x)):
-        scored = []
-        for rank, i in enumerate(curr_ranked):
-            g = curr[i]
-            cheb = max(abs(g.x - f.x), abs(g.y - f.y))
-            if cheb <= max_displacement:
-                scored.append((hamming(f.descriptor, g.descriptor), cheb, rank, g))
-        if not scored:
-            continue
-        scored.sort(key=lambda t: t[:3])
-        best_ham, _, _, g = scored[0]
-        second = scored[1][0] if len(scored) > 1 else NO_COMPETITOR
-        vectors.append(
-            FlowVector(f.x, f.y, g.x - f.x, g.y - f.y, best_ham, second)
-        )
-    return vectors
-
-
-def ratio_filter(vectors: list[FlowVector], ratio_threshold: float) -> list[FlowVector]:
+def ratio_filter(vectors: VectorBatch, ratio_threshold: float) -> VectorBatch:
     """Keep vectors whose best score beats `ratio_threshold` times the second.
 
     A best score of zero is always kept (a perfect match is maximally
-    distinctive, including the 0/0 case). Order is preserved.
+    distinctive, including the 0/0 case). Order is preserved. The product
+    is taken in float64, as Python floats would.
     """
     if not 0 < ratio_threshold <= 1:
         raise RangeError(f"ratio_threshold must be in (0, 1], got {ratio_threshold}")
-    return [
-        v for v in vectors
-        if v.best_score == 0 or v.best_score < ratio_threshold * v.second_score
-    ]
+    best, second = vectors.rows[:, 4], vectors.rows[:, 5]
+    return VectorBatch(vectors.rows[(best == 0) | (best < ratio_threshold * second)])

@@ -22,7 +22,7 @@ from .feature_engine import (
     select_corners,
     update_threshold,
 )
-from .matcher import FlowVector, match_features, ratio_filter
+from .matcher import VectorBatch, match_features, ratio_filter
 from .scene_synth import (
     MotionSpec,
     TextureSpec,
@@ -114,6 +114,7 @@ class RunReport:
     vectors_per_frame: list[int]
     produced_per_frame: list[int]
     thresholds: list[int]
+    payloads: list[bytes]  # per-frame wire payloads, written to the .ofv as is
     summary: dict = field(default_factory=dict)
     hw_reference: float | None = None
     hw_model_fps: float | None = None
@@ -176,13 +177,14 @@ def run_pipeline(
     config: SensorConfig,
     frames: list[Frame],
     initial_threshold: int = INITIAL_THRESHOLD,
-) -> tuple[list[list[FlowVector]], RunReport]:
+) -> tuple[list[VectorBatch], RunReport]:
     """Run the full per-frame pipeline over a frame sequence.
 
     Returns the flow vectors per frame (entry t holds vectors from frame t-1
-    to t; entry 0 is empty) and a report with per-stage timings. The
-    controller consumes the post-cap descriptor count and updates once per
-    frame; frame 0 only seeds features.
+    to t; entry 0 is empty) and a report with per-stage timings and each
+    frame's encoded payload. The controller consumes the post-cap
+    descriptor count and updates once per frame; frame 0 only seeds
+    features.
     """
     if len(frames) < 2:
         raise ConfigError("need at least 2 frames")
@@ -190,14 +192,15 @@ def run_pipeline(
         initial_threshold, config.brief_target, config.brief_max, config.tile_budget
     )
     stage_ns = {"frontend": 0, "detect": 0, "describe": 0, "match": 0, "encode": 0}
-    per_frame_vectors: list[list[FlowVector]] = []
+    per_frame_vectors: list[VectorBatch] = []
     vectors_per_frame: list[int] = []
     produced_per_frame: list[int] = []
     thresholds: list[int] = []
+    payloads: list[bytes] = []
     prev_features = None
     of_size = None
 
-    for i, frame in enumerate(frames):
+    for frame in frames:
         t0 = time.perf_counter_ns()
         recorded = frontend_apply(frame, config)
         of_frame, scale = downscale_for_of(recorded)
@@ -207,13 +210,13 @@ def run_pipeline(
         features = describe_corners(of_frame, corners)
         produced = len(features)
         t3 = time.perf_counter_ns()
-        if i == 0 or prev_features is None:
-            vectors: list[FlowVector] = []
+        if prev_features is None:
+            vectors = VectorBatch.empty()
         else:
             vectors = match_features(prev_features, features, config.max_displacement)
             vectors = ratio_filter(vectors, config.ratio_threshold)
         t4 = time.perf_counter_ns()
-        encode(vectors)
+        payloads.append(encode(vectors))
         t5 = time.perf_counter_ns()
 
         stage_ns["frontend"] += t1 - t0
@@ -242,6 +245,7 @@ def run_pipeline(
         vectors_per_frame=vectors_per_frame,
         produced_per_frame=produced_per_frame,
         thresholds=thresholds,
+        payloads=payloads,
     )
     return per_frame_vectors, report
 
@@ -322,7 +326,7 @@ def run_parameter_set(
     omega_deg_frame: float = DEFAULT_OMEGA_DEG_FRAME,
     zoom_rate_frame: float = DEFAULT_ZOOM_RATE_FRAME,
     initial_threshold: int = INITIAL_THRESHOLD,
-) -> tuple[list[list[FlowVector]], RunReport]:
+) -> tuple[list[VectorBatch], RunReport]:
     """Generate the benchmark sequence for one built-in set and run it."""
     if set_id not in PARAMETER_SETS:
         raise RangeError(f"parameter set must be 1..7, got {set_id}")
@@ -339,13 +343,16 @@ def run_parameter_set(
 
 
 def finalize_report(
-    per_frame_vectors: list[list[FlowVector]],
+    per_frame_vectors: list[VectorBatch],
     report: RunReport,
     ground_truth: list[tuple[float, float]] | None,
     out_dir: str | Path | None,
     name: str = "run",
 ) -> None:
-    """Attach accuracy/track summaries to a report and write output files."""
+    """Attach accuracy/track summaries to a report and write output files.
+
+    The .ofv stream holds the payloads `run_pipeline` encoded into `report`.
+    """
     analysis = analyze(per_frame_vectors, ground_truth)
     accuracy = analysis.accuracy
     report.summary.update(track_stats(analysis.tracks))
@@ -361,7 +368,7 @@ def finalize_report(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report.ofv_path = out_dir / f"{name}.ofv"
-    write_ofv(report.ofv_path, report.of_width, report.of_height, per_frame_vectors)
+    write_ofv(report.ofv_path, report.of_width, report.of_height, report.payloads)
     report.summary_csv = out_dir / f"{name}_summary.csv"
     write_summary_csv(report.summary_csv, accuracy, analysis.tracks)
     if accuracy is not None:

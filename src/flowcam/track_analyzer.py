@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import AlignmentError, FlowcamError, RangeError
-from .matcher import FlowVector
+from .matcher import VectorBatch
 
 # Default re-detection window: frames a track may vanish for, and how far
 # (Chebyshev, px) its reappearance may lie from where it vanished.
@@ -45,7 +45,7 @@ class Track:
         return len(self.points)
 
 
-def link_tracks(per_frame_vectors: list[list[FlowVector]]) -> list[Track]:
+def link_tracks(per_frame_vectors: list[VectorBatch]) -> list[Track]:
     """Chain flow vectors into tracks.
 
     Entry t of the input holds the vectors from frame t-1 to frame t (entry 0
@@ -56,9 +56,9 @@ def link_tracks(per_frame_vectors: list[list[FlowVector]]) -> list[Track]:
     tracks: list[Track] = []
     open_ends: dict[tuple[int, int, int], int] = {}
     for t, vectors in enumerate(per_frame_vectors):
-        for v in vectors:
-            tail = (t - 1, v.x_prev, v.y_prev)
-            head = (t, v.x_prev + v.dx, v.y_prev + v.dy)
+        for x, y, dx, dy, _, _ in vectors.rows.tolist():
+            tail = (t - 1, x, y)
+            head = (t, x + dx, y + dy)
             tid = open_ends.pop(tail, None)
             if tid is None:
                 tid = len(tracks)
@@ -138,12 +138,17 @@ def redetect(tracks: list[Track], max_gap: int, radius: int) -> list[Track]:
     return [t for t in merged if t.id not in consumed]
 
 
-def mean_flow(vectors: list[FlowVector]) -> tuple[float, float] | None:
-    """Arithmetic mean displacement, or None when there are no vectors."""
-    if not vectors:
-        return None
+def mean_flow(vectors: VectorBatch) -> tuple[float, float] | None:
+    """Arithmetic mean displacement, or None when there are no vectors.
+
+    Each column's integer sum is divided by n as a Python int, so the
+    floats equal the per-vector `sum(...) / n` exactly.
+    """
     n = len(vectors)
-    return (sum(v.dx for v in vectors) / n, sum(v.dy for v in vectors) / n)
+    if not n:
+        return None
+    dx, dy = vectors.rows[:, 2:4].sum(axis=0).tolist()
+    return (dx / n, dy / n)
 
 
 def traveled_distance(
@@ -225,7 +230,7 @@ class Analysis:
 
 
 def analyze(
-    per_frame_vectors: list[list[FlowVector]],
+    per_frame_vectors: list[VectorBatch],
     ground_truth: list[tuple[float, float]] | None = None,
     max_gap: int = REDETECT_MAX_GAP,
     radius: int = REDETECT_RADIUS,

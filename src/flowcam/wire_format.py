@@ -5,17 +5,20 @@ y_prev (unsigned), dx, dy (two's complement), best and second Hamming score
 (unsigned). Records travel in lines of 16; a short final line is padded with
 sentinel records whose six fields are all 0xFFFF. Valid scores never exceed
 256, so a sentinel cannot collide with a real record.
+
+A `VectorBatch` already holds its rows in wire field order, so encoding is a
+range check and an int16 cast, and decoding is one `np.frombuffer` view of
+the payload.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EncodingError, FramingError, PayloadError
-from .matcher import FlowVector
+from .matcher import VectorBatch
 
 RECORD_BYTES = 12
 VECTORS_PER_LINE = 16
@@ -34,41 +37,33 @@ _HIGH = np.array([COORD_LIMIT - 1, COORD_LIMIT - 1, 2**15 - 1, 2**15 - 1,
                   SCORE_LIMIT, SCORE_LIMIT])
 
 
-def encode(vectors: list[FlowVector]) -> bytes:
+def encode(vectors: VectorBatch) -> bytes:
     """Pack vectors into whole 192-byte lines of 16 records."""
-    if not vectors:
-        return b""
-    table = np.fromiter(
-        chain.from_iterable(
-            (v.x_prev, v.y_prev, v.dx, v.dy, v.best_score, v.second_score) for v in vectors
-        ),
-        dtype=np.int64, count=6 * len(vectors),
-    ).reshape(-1, 6)
-    bad = (table < _LOW) | (table > _HIGH)
+    rows = vectors.rows
+    bad = (rows < _LOW) | (rows > _HIGH)
     if bad.any():
         col = int(bad.any(axis=0).argmax())
         row = int(bad[:, col].argmax())
         raise EncodingError(
-            f"{_FIELDS[col]} out of range in vector {row}: {table[row, col]} "
+            f"{_FIELDS[col]} out of range in vector {row}: {rows[row, col]} "
             f"not in [{_LOW[col]}, {_HIGH[col]}]"
         )
     # Every bound fits int16; dx and dy travel as two's complement.
-    pad = np.full((-len(vectors) % VECTORS_PER_LINE, 6), SENTINEL_FIELD, dtype="<u2")
-    return np.vstack([table.astype("<i2").view("<u2"), pad]).tobytes()
+    pad = np.full((-len(rows) % VECTORS_PER_LINE, 6), SENTINEL_FIELD, dtype="<u2")
+    return rows.astype("<i2").tobytes() + pad.tobytes()
 
 
-def decode(data: bytes) -> list[FlowVector]:
+def decode(data: bytes) -> VectorBatch:
     """Inverse of `encode`: drop sentinels, reject malformed payloads.
 
     Sentinels only pad the end of a payload, so a real record after a
-    sentinel is rejected rather than silently shifted into its slot.
+    sentinel is rejected rather than silently shifted into its slot. Every
+    real record must satisfy 0 <= best <= second <= 256.
     """
     if len(data) % LINE_BYTES != 0:
         raise FramingError(
             f"stream length {len(data)} is not a multiple of {LINE_BYTES}"
         )
-    if not data:
-        return []
     fields = np.frombuffer(data, dtype="<u2").reshape(-1, 6)
     sentinel = (fields == SENTINEL_FIELD).all(axis=1)
     n_real = int(sentinel.argmax()) if sentinel.any() else len(fields)
@@ -78,15 +73,17 @@ def decode(data: bytes) -> list[FlowVector]:
             f"record {n_real + stray[0]} follows the sentinel record {n_real}"
         )
     real = fields[:n_real]
-    scores = real[:, 4:6]
-    bad = np.flatnonzero((scores > SCORE_LIMIT).any(axis=1))
+    best, second = real[:, 4], real[:, 5]
+    bad = np.flatnonzero((best > second) | (second > SCORE_LIMIT))
     if bad.size:
+        i = bad[0]
         raise PayloadError(
-            f"record {bad[0]} carries a score above {SCORE_LIMIT}"
+            f"record {i} carries scores {best[i]}/{second[i]}, "
+            f"need best <= second <= {SCORE_LIMIT}"
         )
-    rows = real.astype(np.int32)
+    rows = real.astype(np.int64)
     rows[:, 2:4] = real[:, 2:4].view("<i2")
-    return [FlowVector(*row) for row in rows.tolist()]
+    return VectorBatch(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -97,23 +94,31 @@ def write_ofv(
     path: str | Path,
     frame_width: int,
     frame_height: int,
-    per_frame_vectors: list[list[FlowVector]],
+    payloads: list[bytes],
 ) -> None:
-    """Write one stream file: 16-byte header, then per-frame line blocks."""
+    """Write one stream file: 16-byte header, then per-frame line blocks.
+
+    `payloads` are the per-frame outputs of `encode`.
+    """
     parts = [
         OFV_MAGIC,
         int(frame_width).to_bytes(4, "little"),
         int(frame_height).to_bytes(4, "little"),
-        len(per_frame_vectors).to_bytes(4, "little"),
+        len(payloads).to_bytes(4, "little"),
     ]
-    for vectors in per_frame_vectors:
-        payload = encode(vectors)
+    for t, payload in enumerate(payloads):
+        if len(payload) % LINE_BYTES != 0:
+            raise FramingError(
+                f"frame {t}: payload length {len(payload)} is not a multiple "
+                f"of {LINE_BYTES}"
+            )
         parts.append((len(payload) // LINE_BYTES).to_bytes(4, "little"))
         parts.append(payload)
     Path(path).write_bytes(b"".join(parts))
 
 
-def read_ofv(path: str | Path) -> tuple[int, int, list[list[FlowVector]]]:
+def read_ofv(path: str | Path) -> tuple[int, int, list[VectorBatch]]:
+    """Read a stream file. Errors name the file and, inside a block, the frame."""
     data = Path(path).read_bytes()
     if len(data) < 16 or data[:4] != OFV_MAGIC:
         raise FramingError(f"{path}: missing OFV1 header")
@@ -122,15 +127,18 @@ def read_ofv(path: str | Path) -> tuple[int, int, list[list[FlowVector]]]:
     n_frames = int.from_bytes(data[12:16], "little")
     pos = 16
     frames = []
-    for _ in range(n_frames):
+    for t in range(n_frames):
         if pos + 4 > len(data):
-            raise FramingError(f"{path}: truncated frame block header")
+            raise FramingError(f"{path}: frame {t}: truncated frame block header")
         n_lines = int.from_bytes(data[pos : pos + 4], "little")
         pos += 4
         end = pos + n_lines * LINE_BYTES
         if end > len(data):
-            raise FramingError(f"{path}: truncated frame block payload")
-        frames.append(decode(data[pos:end]))
+            raise FramingError(f"{path}: frame {t}: truncated frame block payload")
+        try:
+            frames.append(decode(data[pos:end]))
+        except PayloadError as exc:
+            raise PayloadError(f"{path}: frame {t}: {exc}") from None
         pos = end
     if pos != len(data):
         raise FramingError(f"{path}: {len(data) - pos} trailing bytes")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from flowcam.feature_engine import Feature, detect_fast, enforce_tile_budget, cap_global
-from flowcam.matcher import match_features, match_features_bruteforce
+from flowcam.matcher import match_features
 from flowcam.pipeline import (
     PARAMETER_SETS,
     hardware_reference,
@@ -27,7 +27,8 @@ from flowcam.scene_synth import MotionSpec, TextureSpec, generate_texture, rende
 from flowcam.sensor_frontend import SensorConfig, max_frame_rate
 from flowcam.track_analyzer import link_tracks, mean_flow, redetect, track_stats, traveled_distance
 from flowcam.wire_format import LINE_BYTES, decode, encode
-from flowcam.matcher import FlowVector
+from flowcam.matcher import VectorBatch
+from oracles import feature_set, match_features_bruteforce
 
 
 def report_line(num: int, ok: bool, detail: str) -> None:
@@ -185,9 +186,8 @@ def test_criterion_08_matcher_oracle_equivalence():
             ]
 
         prev, curr = features(n_prev), features(n_curr)
-        assert match_features(prev, curr, gate) == match_features_bruteforce(
-            prev, curr, gate
-        )
+        got = match_features(feature_set(prev), feature_set(curr), gate)
+        assert list(got) == match_features_bruteforce(prev, curr, gate)
         cases += 1
     report_line(
         8, cases == 1000,
@@ -200,21 +200,13 @@ def test_criterion_09_wire_round_trip():
     cases = 0
     for _ in range(1000):
         n = int(rng.integers(0, 2049))
-        if n:
-            best = rng.integers(0, 257, size=n)
-            second = np.maximum(best, rng.integers(0, 257, size=n))
-            vectors = [
-                FlowVector(
-                    int(x), int(y), int(dx), int(dy), int(b), int(s)
-                )
-                for x, y, dx, dy, b, s in zip(
-                    rng.integers(0, 2048, size=n), rng.integers(0, 2048, size=n),
-                    rng.integers(-2048, 2049, size=n), rng.integers(-2048, 2049, size=n),
-                    best, second,
-                )
-            ]
-        else:
-            vectors = []
+        best = rng.integers(0, 257, size=n)
+        second = np.maximum(best, rng.integers(0, 257, size=n))
+        vectors = VectorBatch(np.stack([
+            rng.integers(0, 2048, size=n), rng.integers(0, 2048, size=n),
+            rng.integers(-2048, 2049, size=n), rng.integers(-2048, 2049, size=n),
+            best, second,
+        ], axis=1))
         data = encode(vectors)
         assert len(data) == -(-n // 16) * LINE_BYTES
         if n % 16:

@@ -137,7 +137,7 @@ class TestErrors:
     @pytest.mark.parametrize("bad_row", ["1,0.5", "1,fast,0.0"])
     def test_bad_ground_truth_csv(self, tmp_path, bad_row):
         ofv = tmp_path / "s.ofv"
-        write_ofv(ofv, 16, 16, [[], []])
+        write_ofv(ofv, 16, 16, [b"", b""])
         gt = tmp_path / "gt.csv"
         gt.write_text(f"frame,gt_dx,gt_dy\n0,0.0,0.0\n{bad_row}\n")
         proc = run_cli("report", "--ofv", ofv, "--gt", gt, "--out", tmp_path / "r",

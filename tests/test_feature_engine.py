@@ -2,22 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowcam.errors import FrameSizeError, MarginError, RangeError
 from flowcam.feature_engine import (
     BORDER_MARGIN,
     DetectorState,
-    Feature,
     PAIR_TABLE,
     cap_global,
-    compute_orientation,
-    describe_brief,
+    describe_corners,
     detect_fast,
     enforce_tile_budget,
-    extract_features,
+    select_corners,
     update_threshold,
 )
 from flowcam.sensor_frontend import Frame
+from oracles import (
+    compute_orientation,
+    corner_array,
+    corner_list,
+    describe_brief,
+    describe_per_corner,
+    extract_features,
+)
 
 CIRCLE = [
     (0, -3), (1, -3), (2, -2), (3, -1), (3, 0), (3, 1), (2, 2), (1, 3),
@@ -75,11 +83,11 @@ def textured_frame(width=64, height=64, seed=0):
 class TestDetectFast:
     def test_constant_frame_has_no_corners(self):
         frame = Frame.from_array(np.full((64, 64), 99, dtype=np.uint8))
-        assert detect_fast(frame, 10) == []
+        assert corner_list(detect_fast(frame, 10)) == []
 
     def test_threshold_255_is_unattainable(self):
         frame = textured_frame(seed=1)
-        assert detect_fast(frame, 255) == []
+        assert corner_list(detect_fast(frame, 255)) == []
 
     def test_square_corners_detected(self):
         # A 30x30 bright square with gentle radial shading; a perfectly flat
@@ -91,7 +99,7 @@ class TestDetectFast:
         inside = (xx >= 17) & (xx < 47) & (yy >= 17) & (yy < 47)
         pixels[inside] = 200 - 2 * ring[inside]
         frame = Frame.from_array(pixels.astype(np.uint8))
-        corners = detect_fast(frame, 20)
+        corners = corner_list(detect_fast(frame, 20))
         assert corners == oracle_fast(frame, 20)
         geometric = [(17, 17), (46, 17), (17, 46), (46, 46)]
         assert len(corners) == 4
@@ -102,7 +110,7 @@ class TestDetectFast:
     @pytest.mark.parametrize("threshold", [5, 20, 60])
     def test_matches_reference_oracle(self, seed, threshold):
         frame = textured_frame(seed=seed)
-        assert detect_fast(frame, threshold) == oracle_fast(frame, threshold)
+        assert corner_list(detect_fast(frame, threshold)) == oracle_fast(frame, threshold)
 
     def test_count_monotone_in_threshold(self):
         frame = textured_frame(seed=4)
@@ -123,12 +131,12 @@ class TestDetectFast:
         hi = 96 - margin - 2
         base = {
             (x + a, y + b, s)
-            for x, y, s in detect_fast(frame, 15)
+            for x, y, s in detect_fast(frame, 15).tolist()
             if lo_x <= x + a < hi and lo_y <= y + b < hi
         }
         moved = {
             (x, y, s)
-            for x, y, s in detect_fast(Frame.from_array(shifted), 15)
+            for x, y, s in detect_fast(Frame.from_array(shifted), 15).tolist()
             if lo_x <= x < hi and lo_y <= y < hi
         }
         assert base and base == moved
@@ -147,23 +155,23 @@ class TestDetectFast:
 
 class TestTileBudget:
     def test_nine_in_one_tile_budget_eight(self):
-        corners = [(x, 2, 10 + x) for x in range(9)]  # all in tile (0, 0)
-        kept = enforce_tile_budget(corners, 64, 64, 8)
+        corners = corner_array([(x, 2, 10 + x) for x in range(9)])  # all in tile (0, 0)
+        kept = corner_list(enforce_tile_budget(corners, 64, 64, 8))
         assert len(kept) == 8
         assert (0, 2, 10) not in kept  # lowest score dropped
 
     def test_spread_corners_untouched(self):
         corners = [(16 * i + 3, 16 * i + 5, 7) for i in range(4)]
-        assert enforce_tile_budget(corners, 96, 96, 2) == corners
+        assert corner_list(enforce_tile_budget(corner_array(corners), 96, 96, 2)) == corners
 
     def test_equal_scores_keep_smallest_row_major(self):
-        corners = [(4, 1, 9), (9, 1, 9), (2, 3, 9), (7, 5, 9), (1, 8, 9)]
-        kept = enforce_tile_budget(corners, 64, 64, 2)
+        corners = corner_array([(4, 1, 9), (9, 1, 9), (2, 3, 9), (7, 5, 9), (1, 8, 9)])
+        kept = corner_list(enforce_tile_budget(corners, 64, 64, 2))
         assert kept == [(4, 1, 9), (9, 1, 9)]
 
     def test_output_order_row_major(self):
-        corners = [(3, 1, 5), (20, 1, 50), (5, 2, 40), (21, 2, 8), (6, 18, 3)]
-        kept = enforce_tile_budget(corners, 64, 64, 2)
+        corners = corner_array([(3, 1, 5), (20, 1, 50), (5, 2, 40), (21, 2, 8), (6, 18, 3)])
+        kept = corner_list(enforce_tile_budget(corners, 64, 64, 2))
         assert kept == sorted(kept, key=lambda c: (c[1], c[0]))
 
     def test_never_exceeds_budget_per_tile(self):
@@ -172,9 +180,9 @@ class TestTileBudget:
             {(int(x), int(y)) for x, y in rng.integers(0, 64, size=(200, 2))},
             key=lambda p: (p[1], p[0]),
         )
-        corners = [(x, y, int(rng.integers(1, 200))) for x, y in corners]
+        corners = corner_array([(x, y, int(rng.integers(1, 200))) for x, y in corners])
         for budget in (2, 5, 8):
-            kept = enforce_tile_budget(corners, 64, 64, budget)
+            kept = corner_list(enforce_tile_budget(corners, 64, 64, budget))
             tiles = {}
             for x, y, _ in kept:
                 tiles[(x // 16, y // 16)] = tiles.get((x // 16, y // 16), 0) + 1
@@ -184,17 +192,17 @@ class TestTileBudget:
 class TestGlobalCap:
     def test_cap_keeps_first_in_row_major(self):
         corners = [(x % 50, x // 50, 5) for x in range(2500)]
-        kept = cap_global(corners, 2048)
+        kept = corner_list(cap_global(corner_array(corners), 2048))
         assert kept == corners[:2048]
 
     def test_under_cap_untouched(self):
         corners = [(x, 0, 1) for x in range(100)]
-        assert cap_global(corners, 512) == corners
+        assert corner_list(cap_global(corner_array(corners), 512)) == corners
 
     def test_bottom_rows_starved(self):
         top = [(x, 10, 3) for x in range(40)]
         bottom = [(x, 600, 3) for x in range(25)]
-        kept = cap_global(top + bottom, len(top))
+        kept = corner_list(cap_global(corner_array(top + bottom), len(top)))
         assert kept == top
 
 
@@ -307,6 +315,22 @@ class TestDescriptor:
     def test_margin_enforced(self):
         with pytest.raises(MarginError):
             describe_brief(textured_frame(), (20, 60), 0.0)
+
+
+class TestFeatureSet:
+    @given(seed=st.integers(0, 2**32 - 1), threshold=st.integers(1, 80),
+           budget=st.integers(2, 8), cap=st.integers(1, 2048))
+    @example(seed=0, threshold=255, budget=2, cap=1)  # no corners at all
+    @settings(max_examples=60, deadline=None)
+    def test_records_match_per_corner_oracles(self, seed, threshold, budget, cap):
+        frame = textured_frame(width=96, height=80, seed=seed)
+        state = DetectorState(threshold, min(cap, 64), cap, budget)
+        corners = select_corners(frame, state)
+        features = describe_corners(frame, corners)
+        assert len(features) == len(corners)
+        assert features.desc.shape == (len(corners), 32)
+        assert features.desc.dtype == np.uint8 and features.desc.flags.c_contiguous
+        assert list(features) == describe_per_corner(frame, corners)
 
 
 class TestThresholdController:

@@ -4,6 +4,7 @@ import pytest
 from flowcam.errors import ConfigError, RangeError
 from flowcam.pipeline import (
     PARAMETER_SETS,
+    finalize_report,
     frontend_apply,
     hardware_reference,
     of_scale_for,
@@ -14,6 +15,7 @@ from flowcam.pipeline import (
 )
 from flowcam.scene_synth import MotionSpec, TextureSpec, generate_texture, render_sequence
 from flowcam.sensor_frontend import Frame, SensorConfig, load_config, save_config
+from flowcam.wire_format import encode, read_ofv
 
 
 def small_config(**overrides):
@@ -110,7 +112,7 @@ class TestRunPipeline:
         cfg = small_config()
         frames = still_frames(2)
         vectors, report = run_pipeline(cfg, frames)
-        assert vectors[0] == []
+        assert len(vectors[0]) == 0
         assert len(vectors[1]) > 0
         assert all(v.dx == 0 and v.dy == 0 and v.best_score == 0 for v in vectors[1])
 
@@ -130,6 +132,14 @@ class TestRunPipeline:
         v1, _ = run_pipeline(cfg, frames)
         v2, _ = run_pipeline(cfg, frames)
         assert v1 == v2
+
+    def test_stream_is_the_encoded_payloads(self, tmp_path):
+        vectors, report = run_pipeline(small_config(), still_frames(3))
+        assert report.payloads == [encode(v) for v in vectors]
+        assert len(report.payloads[1]) > 0
+        finalize_report(vectors, report, None, tmp_path, name="s")
+        _, _, back = read_ofv(tmp_path / "s.ofv")
+        assert back == vectors
 
     def test_timings_non_negative_and_complete(self):
         _, report = run_pipeline(small_config(), still_frames(3))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from flowcam.errors import AlignmentError, FlowcamError
@@ -23,6 +23,12 @@ from flowcam.track_analyzer import (
     write_ground_truth_csv,
     write_summary_csv,
 )
+from oracles import vector_batch
+
+
+def batches(per_frame):
+    """Per-frame record lists as the per-frame batches the analysis takes."""
+    return [vector_batch(vectors) for vectors in per_frame]
 
 
 def vec(x_prev, y_prev, dx=1, dy=0, best=0, second=256):
@@ -36,14 +42,14 @@ class TestLinkTracks:
         for t in range(1, 31):
             per_frame.append([vec(x, 20, 1, 0)])
             x += 1
-        [track] = link_tracks(per_frame)
+        [track] = link_tracks(batches(per_frame))
         assert track.length == 31
         assert track.points[0] == (0, 10, 20)
         assert track.points[-1] == (30, 40, 20)
 
     def test_empty_input(self):
         assert link_tracks([]) == []
-        assert link_tracks([[], [], []]) == []
+        assert link_tracks(batches([[], [], []])) == []
 
     def test_one_pixel_offset_breaks_chain(self):
         per_frame = [
@@ -51,7 +57,7 @@ class TestLinkTracks:
             [vec(10, 10, 1, 0)],  # ends at (1, 11, 10)
             [vec(12, 10, 1, 0)],  # starts from (1, 12, 10): no link
         ]
-        tracks = link_tracks(per_frame)
+        tracks = link_tracks(batches(per_frame))
         assert len(tracks) == 2
         assert all(t.length == 2 for t in tracks)
 
@@ -61,7 +67,7 @@ class TestLinkTracks:
             [vec(10, 10, 1, 0), vec(12, 10, -1, 0)],  # both end at (1, 11, 10)
             [vec(11, 10, 1, 0)],
         ]
-        tracks = link_tracks(per_frame)
+        tracks = link_tracks(batches(per_frame))
         assert len(tracks) == 2
         assert tracks[0].length == 3  # older track continued
         assert tracks[1].length == 2
@@ -87,7 +93,7 @@ class TestLinkTracks:
                     unique.append(v)
             total += len(unique)
             per_frame.append(unique)
-        tracks = link_tracks(per_frame)
+        tracks = link_tracks(batches(per_frame))
         assert sum(t.length - 1 for t in tracks) == total
 
 
@@ -275,7 +281,7 @@ def rotate_tracks():
 
 class TestAnalyze:
     def test_matches_separate_steps(self):
-        per_frame = [[], [vec(5, 5), vec(9, 9, 0, 1)], [vec(6, 5)], [], []]
+        per_frame = batches([[], [vec(5, 5), vec(9, 9, 0, 1)], [vec(6, 5)], [], []])
         gt = [(1.0, 0.0)] * len(per_frame)
         result = analyze(per_frame, gt, max_gap=2, radius=1)
         est = [mean_flow(v) for v in per_frame]
@@ -286,28 +292,38 @@ class TestAnalyze:
         )
 
     def test_without_ground_truth(self):
-        assert analyze([[], [vec(5, 5)]]).accuracy is None
+        assert analyze(batches([[], [vec(5, 5)]])).accuracy is None
 
 
 class TestMeanFlow:
     def test_constant_field(self):
         vectors = [vec(i, 0, 1, 0) for i in range(5)]
-        assert mean_flow(vectors) == (1.0, 0.0)
+        assert mean_flow(vector_batch(vectors)) == (1.0, 0.0)
 
     def test_empty_is_no_data(self):
-        assert mean_flow([]) is None
+        assert mean_flow(vector_batch([])) is None
 
     def test_mixed(self):
         vectors = [vec(0, 0, 2, 0), vec(1, 0, 4, 0), vec(2, 0, 0, 6)]
-        assert mean_flow(vectors) == (2.0, 2.0)
+        assert mean_flow(vector_batch(vectors)) == (2.0, 2.0)
 
     def test_union_is_weighted_mean(self):
         rng = np.random.default_rng(2)
         a = [vec(0, 0, int(rng.integers(-5, 6)), int(rng.integers(-5, 6))) for _ in range(7)]
         b = [vec(0, 0, int(rng.integers(-5, 6)), int(rng.integers(-5, 6))) for _ in range(13)]
-        ma, mb, mu = mean_flow(a), mean_flow(b), mean_flow(a + b)
+        ma, mb, mu = (mean_flow(vector_batch(v)) for v in (a, b, a + b))
         assert mu[0] == pytest.approx((7 * ma[0] + 13 * mb[0]) / 20)
         assert mu[1] == pytest.approx((7 * ma[1] + 13 * mb[1]) / 20)
+
+    @given(st.lists(st.tuples(st.integers(-2048, 2048), st.integers(-2048, 2048)),
+                    min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_record_sums(self, flows):
+        """Bit-equal to the per-record sum divided by the count."""
+        vectors = [vec(0, 0, dx, dy) for dx, dy in flows]
+        n = len(vectors)
+        expected = (sum(v.dx for v in vectors) / n, sum(v.dy for v in vectors) / n)
+        assert mean_flow(vector_batch(vectors)) == expected
 
 
 class TestTraveledDistance:
@@ -382,11 +398,28 @@ class TestCsvInterfaces:
         with pytest.raises(FlowcamError, match=message):
             read_ground_truth_csv(path)
 
+    # Each example rewrites the same file, so sharing tmp_path is harmless.
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.lists(st.sampled_from(
+            ["frame", "0", "-1", "1.5", "nan", "1e400", "x", "", " 2 ", "\"", "\xff"]),
+            max_size=4).map(",".join), max_size=6).map("\n".join).map(str.encode),
+    ))
+    def test_only_typed_errors_escape(self, tmp_path, data):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(data)
+        try:
+            read_ground_truth_csv(path)
+        except FlowcamError:
+            pass
+
     def test_report_files(self, tmp_path):
         est = [(1.0, 0.0), None, (0.5, 0.5)]
         gt = [(1.0, 0.0)] * 3
         report = accuracy_metrics(est, gt)
-        tracks = link_tracks([[], [vec(5, 5)], [vec(6, 5)]])
+        tracks = link_tracks(batches([[], [vec(5, 5)], [vec(6, 5)]]))
         frame_csv = tmp_path / "frames.csv"
         summary_csv = tmp_path / "summary.csv"
         write_frame_report_csv(frame_csv, est, gt, report)

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flowcam.errors import EncodingError, FlowcamError, FramingError, PayloadError
-from flowcam.matcher import FlowVector
+from flowcam.matcher import FlowVector, VectorBatch
 from flowcam.wire_format import (
     LINE_BYTES,
     SENTINEL_FIELD,
@@ -14,6 +14,7 @@ from flowcam.wire_format import (
     read_ofv,
     write_ofv,
 )
+from oracles import vector_batch
 
 
 def random_vectors(rng, n):
@@ -39,6 +40,23 @@ vector_strategy = st.builds(
     scores=st.tuples(st.integers(0, 256), st.integers(0, 256)),
 )
 
+
+@st.composite
+def batch_strategy(draw):
+    """A VectorBatch drawn as whole columns, with every field at its limits."""
+    n = draw(st.integers(0, 40))
+    ints = st.integers
+    cols = [draw(st.lists(ints(lo, hi), min_size=n, max_size=n)) for lo, hi in (
+        (0, 2047), (0, 2047), (-(2**15), 2**15 - 1), (-(2**15), 2**15 - 1))]
+    scores = draw(st.lists(st.tuples(ints(0, 256), ints(0, 256)).map(sorted),
+                           min_size=n, max_size=n))
+    rows = np.array([list(r) for r in zip(*cols)], dtype=np.int64).reshape(-1, 4)
+    return VectorBatch(np.hstack([rows, np.array(scores, dtype=np.int64).reshape(-1, 2)]))
+
+
+def encode_records(vectors):
+    return encode(vector_batch(vectors))
+
 # Malformed payloads: raw bytes, or whole lines of records whose fields sit at
 # the edges (score limit, sign bit, sentinel), with sentinel records anywhere.
 record_strategy = st.one_of(
@@ -58,18 +76,18 @@ payload_strategy = st.one_of(
 
 class TestEncode:
     def test_empty_stream(self):
-        assert encode([]) == b""
+        assert encode_records([]) == b""
 
     def test_twenty_vectors_two_lines(self):
         rng = np.random.default_rng(0)
-        data = encode(random_vectors(rng, 20))
+        data = encode_records(random_vectors(rng, 20))
         assert len(data) == 384
         # trailing 12 records of the second line are sentinels
         assert data[-12 * 12 :] == b"\xff" * 144
 
     def test_known_byte_layout(self):
         v = FlowVector(5, 7, -1, 0, 3, 9)
-        data = encode([v])
+        data = encode_records([v])
         assert data[:12] == bytes(
             [0x05, 0x00, 0x07, 0x00, 0xFF, 0xFF, 0x00, 0x00, 0x03, 0x00, 0x09, 0x00]
         )
@@ -77,24 +95,23 @@ class TestEncode:
 
     def test_out_of_range_coordinate_names_field(self):
         with pytest.raises(EncodingError, match="x_prev"):
-            encode([FlowVector(4000, 0, 0, 0, 0, 0)])
+            encode_records([FlowVector(4000, 0, 0, 0, 0, 0)])
 
     def test_out_of_range_score_names_field(self):
-        # Bypass the dataclass check to exercise the codec validation.
-        v = FlowVector(0, 0, 0, 0, 0, 0)
-        object.__setattr__(v, "second_score", 400)
+        # A batch carries no check of its own; the codec validates.
+        v = VectorBatch(np.array([[0, 0, 0, 0, 0, 400]], dtype=np.int64))
         with pytest.raises(EncodingError, match="second_score"):
-            encode([v])
+            encode(v)
 
 
 class TestDecode:
     def test_round_trip_twenty(self):
         rng = np.random.default_rng(1)
         vectors = random_vectors(rng, 20)
-        assert decode(encode(vectors)) == vectors
+        assert list(decode(encode_records(vectors))) == vectors
 
     def test_all_sentinel_line_is_empty(self):
-        assert decode(b"\xff" * LINE_BYTES) == []
+        assert list(decode(b"\xff" * LINE_BYTES)) == []
 
     def test_truncated_input_rejected(self):
         with pytest.raises(FramingError):
@@ -111,7 +128,7 @@ class TestDecode:
         (17, range(16), 16),  # an all-sentinel line before a real line
     ])
     def test_real_record_after_sentinel_rejected(self, n, sentinels, record):
-        data = bytearray(encode(random_vectors(np.random.default_rng(3), n)))
+        data = bytearray(encode_records(random_vectors(np.random.default_rng(3), n)))
         for i in sentinels:
             data[12 * i : 12 * i + 12] = b"\xff" * 12
         with pytest.raises(PayloadError, match=f"record {record} follows"):
@@ -128,10 +145,29 @@ class TestDecode:
     @given(vectors=st.lists(vector_strategy, max_size=80))
     @settings(max_examples=250, deadline=None)
     def test_round_trip_property(self, vectors):
-        data = encode(vectors)
+        data = encode_records(vectors)
         n = len(vectors)
         assert len(data) == -(-n // 16) * LINE_BYTES
-        assert decode(data) == vectors
+        assert list(decode(data)) == vectors
+
+    @given(batch=batch_strategy())
+    @settings(max_examples=250, deadline=None)
+    def test_batch_records_round_trip(self, batch):
+        """Batch -> records -> encode -> decode gives back the batch and the
+        same records; encoding the records equals encoding the batch."""
+        records = list(batch)
+        assert len(records) == len(batch)
+        data = encode_records(records)
+        assert data == encode(batch)
+        back = decode(data)
+        assert back == batch
+        assert list(back) == records
+
+    def test_best_above_second_rejected(self):
+        line = bytearray(b"\xff" * LINE_BYTES)
+        line[0:12] = bytes([0, 0, 0, 0, 0, 0, 0, 0, 10, 0, 5, 0])
+        with pytest.raises(PayloadError, match="record 0 carries scores 10/5"):
+            decode(bytes(line))
 
 
 class TestOfvStream:
@@ -139,10 +175,31 @@ class TestOfvStream:
         rng = np.random.default_rng(2)
         per_frame = [random_vectors(rng, int(n)) for n in rng.integers(0, 40, size=7)]
         path = tmp_path / "run.ofv"
-        write_ofv(path, 640, 480, per_frame)
+        write_ofv(path, 640, 480, [encode_records(v) for v in per_frame])
         width, height, back = read_ofv(path)
         assert (width, height) == (640, 480)
-        assert back == per_frame
+        assert [list(batch) for batch in back] == per_frame
+        assert back == [vector_batch(v) for v in per_frame]
+
+    @pytest.mark.parametrize("best, second", [(10, 5), (300, 300)])
+    def test_bad_scores_name_file_frame_and_record(self, tmp_path, best, second):
+        path = tmp_path / "scores.ofv"
+        vectors = [FlowVector(20, 20, 1, 0, 3, 9), FlowVector(30, 20, 1, 0, 3, 9)]
+        write_ofv(path, 64, 64, [b"", encode_records(vectors)])
+        data = bytearray(path.read_bytes())
+        # header, frame 0's empty block, frame 1's line count, then record 0
+        at = 16 + 4 + 4 + 12
+        data[at + 8 : at + 12] = np.array([best, second], dtype="<u2").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(PayloadError) as caught:
+            read_ofv(path)
+        message = str(caught.value)
+        assert str(path) in message
+        assert "frame 1" in message and "record 1" in message
+
+    def test_misframed_payload_not_written(self, tmp_path):
+        with pytest.raises(FramingError, match="frame 1"):
+            write_ofv(tmp_path / "bad.ofv", 64, 64, [b"", b"\x00" * 12])
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ofv"
@@ -152,7 +209,7 @@ class TestOfvStream:
 
     def test_trailing_garbage_rejected(self, tmp_path):
         path = tmp_path / "trail.ofv"
-        write_ofv(path, 64, 64, [[]])
+        write_ofv(path, 64, 64, [b""])
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FramingError):
             read_ofv(path)
