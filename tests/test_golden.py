@@ -1,8 +1,12 @@
 """Golden-stream lock: SHA-256 of the .ofv stream and the summary CSV for a
-short run of every built-in parameter set under every scenario.
+short run of every built-in parameter set under every scenario, of the
+rendered input frames of the same runs, and of one texture per kind.
 
-Any refactor or speed-up of the per-frame pipeline must leave these digests
-unchanged. After a deliberate change of output, print the new table with
+The stream digests do not pin pixels that happen not to change the stream,
+so the frame and texture digests lock the scene synthesis on their own.
+Any refactor or speed-up of the pipeline or the synthesis must leave these
+digests unchanged. After a deliberate change of output, print the new
+tables with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,7 +17,13 @@ from pathlib import Path
 
 import pytest
 
-from flowcam.pipeline import PARAMETER_SETS, SCENARIOS, run_parameter_set
+from flowcam.pipeline import (
+    PARAMETER_SETS,
+    SCENARIOS,
+    run_parameter_set,
+    synthesize_sequence,
+)
+from flowcam.scene_synth import TEXTURE_KINDS, TextureSpec, generate_texture
 
 GOLDEN_FRAMES = 8
 GOLDEN_SEED = 11
@@ -127,6 +137,92 @@ GOLDEN = {
         "74144d6093a81a1b2d9ae98163bd67827fb981841a7fe87307b542a6fea433e2"),
 }
 
+# (set, scenario) -> sha256 of the concatenated pixels of the frames
+# synthesize_sequence renders for that run
+FRAME_GOLDEN = {
+    (1, "translate-easy"):
+        "ddf4ab35468a53f35a6cf80703d9084e9cd68606c1f89b0199a8f08e8abd04c5",
+    (1, "translate-hard"):
+        "2a758a0a2bd0988e808a1961afd9ea575f4dd3ef738708901e9d82f4f8fbf2b4",
+    (1, "zoom"):
+        "e2ea9b58a530fd07525c4449a66e626f8796669a31986333428eeae877b03e0a",
+    (1, "rotate"):
+        "5016e49f4f99dcf00a86357d598a46168a538211770bf2f350498e87d1f38eb2",
+    (1, "still"):
+        "19275aa2f2133217a1c6a85ddc511a50f8f4588ce25386b28d5fa073e8e681c6",
+    (2, "translate-easy"):
+        "90a18229f4aab1dce8a67f54db82a0932ef5da331f1b5e524bf246e9e6fed839",
+    (2, "translate-hard"):
+        "8ca99ca8ac9a7771e1a3d43a91cb85fe44855ad1ed1268b55cc2cf141618f857",
+    (2, "zoom"):
+        "61f7e5bc30d7cffc30c3a2bb2e6ef941f3c17f7ad4c7c4278d61bf313557c677",
+    (2, "rotate"):
+        "8a94174003ae69277a795df7b64e18b6ff53ffac36f94c802ffd7b9d564466a6",
+    (2, "still"):
+        "e11bc9cae47f3a9381796f94719378f74c932792896ba085b334304c56060e33",
+    (3, "translate-easy"):
+        "e45de53428addc6e24411f5642e021d07ac0ff52cc1380fb905f14127293cb9c",
+    (3, "translate-hard"):
+        "6cc9ef897bab0a855d2af1f27b8b2ad165538c211a6d3a49ea68dc82cc95a97b",
+    (3, "zoom"):
+        "399a63ff414b5a83d81f8f39e62165807cad70dcae571fb84a2def8d06e9b497",
+    (3, "rotate"):
+        "fcb6fcb753a671931619efa2b841633bdbacd5d38c96530467248afc98ce367b",
+    (3, "still"):
+        "a29b2a66c054595fb935e6f14dd5f766a9f784929f082da77a65bd627d143fc5",
+    (4, "translate-easy"):
+        "bc726566f11f63c573f63ee856bbccb16c0a9266436d09bdc75f09e06e2fba89",
+    (4, "translate-hard"):
+        "ef04bbea87756e0c40e6f67db6ae5eaa358ec1cd4c12ceb31feacd468cf3d83d",
+    (4, "zoom"):
+        "2d6db671d4366d4d3fff0e017bc2e0a6ce823ec6e6cf019bc7ae87d39693a3ed",
+    (4, "rotate"):
+        "cedffd9de40835bc4d340f5988ae16a348da805949ee3ead4109d1c9e0df6dd8",
+    (4, "still"):
+        "2be1e3a11d4ca96a9f6ffa250126165c763f3f6baa112e774aedba29cdec34dd",
+    (5, "translate-easy"):
+        "5cc953e8ee0c0062111b3aa1f0156d54132117ed4f2f217edb5c53ea7fcf19e4",
+    (5, "translate-hard"):
+        "7d85d109c49a5d8abc2b58a7a5a0c736fb85e90de7810288e02c516475b0e68a",
+    (5, "zoom"):
+        "0ab0aa51e27c5c8ea5abc7113683837e8314baa50231d4dd63efd37ac38097d5",
+    (5, "rotate"):
+        "5d2ae1986395e7bed229188b35c941ca18ae0adc66bde49418b0eb6095ed1177",
+    (5, "still"):
+        "f0281c61e67f41eea2f774f953a26eebb287d0905a3ca0fb6d29670d4144d556",
+    (6, "translate-easy"):
+        "ffa0162c7dbfb41fb87fa50ee01cb65b530b047891cfd301b77d2edfc4f9508c",
+    (6, "translate-hard"):
+        "16b4b66456001bb7951e751217cf9cfa314cdc612671e1dd7a70edfbd062a357",
+    (6, "zoom"):
+        "2194256e98d85771f4d25d99e9715b9455408ab00633acb30d27bbff03db542b",
+    (6, "rotate"):
+        "dd428eddebfe3ad2d082b2094ac8f47f72b2d81e277eff480d4b0b28900d2983",
+    (6, "still"):
+        "4d125394f2555627d9a4adefd1325999bc624e6a1c8e565d2966a5845f540578",
+    (7, "translate-easy"):
+        "6157375ba5f8b8dd1060db6d555a1687c3d887342b6e5eb7e87da91e4081b115",
+    (7, "translate-hard"):
+        "b7bdad76e0db9b88b8fd9beff7e9bf8bd15641173457538358678c4cb7ed3b27",
+    (7, "zoom"):
+        "852ca639df315418ca15176318b8b157c19cc5beae4bebb2f0d268ead93d31aa",
+    (7, "rotate"):
+        "d77ce5a5ebdc1160a6847fa6fe35be7cf6a82e1b224d84d61f60d385aa570168",
+    (7, "still"):
+        "0c06591d484607d9db5b03498bba6683db126fcbe52a09e8b3c461265f2919f9",
+}
+
+TEXTURE_SEED = 11
+TEXTURE_SIZE = (200, 136)  # non-square: catches a swapped width and height
+
+# texture kind -> sha256 of generate_texture's pixels at TEXTURE_SIZE
+TEXTURE_GOLDEN = {
+    "blocks": "234a7b734673a1332a546eade8bb3b0d9656d9a1f4852e480132d68bf3026d55",
+    "foliage": "66b23aabf3fe10e27a215585e380c722f75e47d80c2bdaca551500f93c54ab1d",
+    "wheel": "e1a89665aed9b10e6db94ab617c335e0628aba9649188c9328b75d001bbebe39",
+    "noise": "a6f0f7f698e98ef5f909942181ad7fe667098b142765a0986e6b0cd33feb2faa",
+}
+
 
 def digests(set_id: int, scenario: str, out_dir: Path) -> tuple[str, str]:
     run_parameter_set(set_id, scenario, 0.0, n_frames=GOLDEN_FRAMES,
@@ -138,13 +234,40 @@ def digests(set_id: int, scenario: str, out_dir: Path) -> tuple[str, str]:
     )
 
 
+def frame_digest(set_id: int, scenario: str) -> str:
+    frames, _ = synthesize_sequence(PARAMETER_SETS[set_id], scenario, GOLDEN_FRAMES,
+                                    seed=GOLDEN_SEED)
+    sha = hashlib.sha256()
+    for frame in frames:
+        sha.update(frame.pixels.tobytes())
+    return sha.hexdigest()
+
+
+def texture_digest(kind: str) -> str:
+    texture = generate_texture(TextureSpec(kind, TEXTURE_SEED, TEXTURE_SIZE))
+    return hashlib.sha256(texture.pixels.tobytes()).hexdigest()
+
+
 def test_table_covers_every_set_and_scenario():
-    assert set(GOLDEN) == {(s, sc) for s in PARAMETER_SETS for sc in SCENARIOS}
+    every = {(s, sc) for s in PARAMETER_SETS for sc in SCENARIOS}
+    assert set(GOLDEN) == every
+    assert set(FRAME_GOLDEN) == every
+    assert set(TEXTURE_GOLDEN) == set(TEXTURE_KINDS)
 
 
 @pytest.mark.parametrize("set_id, scenario", sorted(GOLDEN))
 def test_stream_and_summary_digests(set_id, scenario, tmp_path):
     assert digests(set_id, scenario, tmp_path) == GOLDEN[(set_id, scenario)]
+
+
+@pytest.mark.parametrize("set_id, scenario", sorted(FRAME_GOLDEN))
+def test_frame_digests(set_id, scenario):
+    assert frame_digest(set_id, scenario) == FRAME_GOLDEN[(set_id, scenario)]
+
+
+@pytest.mark.parametrize("kind", TEXTURE_KINDS)
+def test_texture_digests(kind):
+    assert texture_digest(kind) == TEXTURE_GOLDEN[kind]
 
 
 if __name__ == "__main__":
@@ -154,3 +277,11 @@ if __name__ == "__main__":
                 ofv, summary = digests(set_id, scenario, Path(tmp))
                 print(f'    ({set_id}, "{scenario}"): (\n'
                       f'        "{ofv}",\n        "{summary}"),')
+    print("FRAME_GOLDEN")
+    for set_id in PARAMETER_SETS:
+        for scenario in SCENARIOS:
+            print(f'    ({set_id}, "{scenario}"):\n'
+                  f'        "{frame_digest(set_id, scenario)}",')
+    print("TEXTURE_GOLDEN")
+    for kind in TEXTURE_KINDS:
+        print(f'    "{kind}": "{texture_digest(kind)}",')
