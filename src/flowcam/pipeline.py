@@ -272,6 +272,10 @@ def synthesize_sequence(
     """
     if scenario not in SCENARIOS:
         raise RangeError(f"unknown scenario {scenario!r}")
+    for name, value in (("speed_px_s", speed_px_s), ("omega_deg_frame", omega_deg_frame),
+                        ("zoom_rate_frame", zoom_rate_frame)):
+        if not math.isfinite(value):
+            raise RangeError(f"{name} must be finite, got {value}")
     stride = config.subsample_factor
     origin = config.crop_origin if config.crop_origin is not None else (0, 0)
     viewport = (config.out_width, config.out_height)

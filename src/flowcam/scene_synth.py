@@ -50,6 +50,11 @@ class MotionSpec:
     def __post_init__(self) -> None:
         if self.kind not in MOTION_KINDS:
             raise RangeError(f"unknown motion kind {self.kind!r}")
+        fields = {"velocity": self.velocity, "rate": (self.rate,),
+                  "omega": (self.omega,), "center": self.center or ()}
+        for name, values in fields.items():
+            if not all(math.isfinite(v) for v in values):
+                raise RangeError(f"motion {name} must be finite, got {getattr(self, name)}")
         if self.kind == "zoom" and self.rate <= 0:
             raise RangeError("zoom rate must be positive")
 
@@ -89,27 +94,53 @@ def _foliage(rng: np.random.Generator, w: int, h: int) -> np.ndarray:
     for _ in range(2):
         noise = _box_blur(noise, 2)
     lo, hi = noise.min(), noise.max()
-    return np.floor((noise - lo) / (hi - lo) * 255 + 0.5).astype(np.uint8)
+    # floor((noise - lo) / (hi - lo) * 255 + 0.5), one step at a time in place
+    noise -= lo
+    noise /= hi - lo
+    noise *= 255
+    noise += 0.5
+    return np.floor(noise, out=noise).astype(np.uint8)
 
 
 def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:
+    """Mean over a (2r+1)-square with edge padding, from two prefix sums.
+
+    A window sum is the difference of two prefix sums `size` apart; the
+    first window's is the prefix sum itself (the same bits as subtracting
+    the zero prefix). Both passes run in place in their own buffers.
+    """
     size = 2 * radius + 1
     padded = np.pad(img, radius, mode="edge")
-    csum = np.cumsum(padded, axis=0)
-    csum = np.vstack([np.zeros((1, padded.shape[1])), csum])
-    vert = (csum[size:] - csum[:-size]) / size
-    csum = np.cumsum(vert, axis=1)
-    csum = np.hstack([np.zeros((vert.shape[0], 1)), csum])
-    return (csum[:, size:] - csum[:, :-size]) / size
+    # Column prefix sums one row at a time: the same additions in the same
+    # order as np.cumsum(axis=0), which walks each column at a row stride
+    # and is about four times slower on a large texture.
+    for i in range(1, padded.shape[0]):
+        padded[i] += padded[i - 1]
+    h, pw = padded.shape[0] - size + 1, padded.shape[1]
+    vert = np.empty((h, pw))
+    vert[0] = padded[size - 1]
+    np.subtract(padded[size:], padded[:-size], out=vert[1:])
+    vert /= size
+    del padded
+    np.cumsum(vert, axis=1, out=vert)
+    out = np.empty((h, pw - size + 1))
+    out[:, 0] = vert[:, size - 1]
+    np.subtract(vert[:, size:], vert[:, :-size], out=out[:, 1:])
+    out /= size
+    return out
 
 
 def _wheel(rng: np.random.Generator, w: int, h: int) -> np.ndarray:
     """Gray sector wheel, 12 sectors with a 3-value palette (4-fold symmetric)."""
     palette = rng.permutation(np.array([40, 130, 220], dtype=np.uint8))
-    yy, xx = np.mgrid[0:h, 0:w]
-    theta = np.arctan2(yy - (h - 1) / 2, xx - (w - 1) / 2) % (2 * math.pi)
-    sector = np.floor(theta / (2 * math.pi / WHEEL_SECTORS)).astype(int) % WHEEL_SECTORS
-    return palette[sector % 3]
+    yy, xx = np.ogrid[0:h, 0:w]
+    theta = np.arctan2(yy - (h - 1) / 2, xx - (w - 1) / 2)
+    theta %= 2 * math.pi
+    theta /= 2 * math.pi / WHEEL_SECTORS
+    sector = np.floor(theta, out=theta).astype(int)
+    sector %= WHEEL_SECTORS
+    sector %= 3
+    return palette[sector]
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +149,19 @@ def _wheel(rng: np.random.Generator, w: int, h: int) -> np.ndarray:
 
 def _bilinear(texture: np.ndarray, sx: np.ndarray, sy: np.ndarray,
               frame_index: int) -> np.ndarray:
+    """Sample `texture` bilinearly at (sx, sy), rounded to uint8.
+
+    sx and sy broadcast to the output shape: a `(1, w)` row of columns and
+    an `(h, 1)` column of rows for a separable map, full grids otherwise.
+    The four corners are gathered from the flat texture at `y0*w + x0` and
+    its `+1`, `+w`, `+w+1` neighbours, so the result is a fresh row-major
+    array of the broadcast shape. (Gathering columns of a row block, as in
+    `texture[y0][:, x0]`, gives the same pixels in Fortran order, and every
+    kernel's `ravel()` would then copy the frame.)
+    """
     h, w = texture.shape
-    if sx.min() < 0 or sy.min() < 0 or sx.max() > w - 1 or sy.max() > h - 1:
+    # Written so that a NaN coordinate fails the check too.
+    if not (sx.min() >= 0 and sy.min() >= 0 and sx.max() <= w - 1 and sy.max() <= h - 1):
         raise CoverageError(
             f"frame {frame_index}: motion samples the texture outside its bounds"
         )
@@ -127,46 +169,61 @@ def _bilinear(texture: np.ndarray, sx: np.ndarray, sy: np.ndarray,
     y0 = np.floor(sy).astype(np.int64)
     fx = sx - x0
     fy = sy - y0
+    flat = texture.ravel()
     if not fx.any() and not fy.any():
-        return texture[y0, x0]
+        return flat[y0 * w + x0]
     x0 = np.minimum(x0, w - 2)
     y0 = np.minimum(y0, h - 2)
     fx = sx - x0
     fy = sy - y0
+    gx, gy = 1 - fx, 1 - fy
+    idx = y0 * w + x0
     # The float64 weights promote the gathered corners exactly; converting
-    # the whole texture instead would copy it once per rendered frame.
-    val = (
-        texture[y0, x0] * (1 - fx) * (1 - fy)
-        + texture[y0, x0 + 1] * fx * (1 - fy)
-        + texture[y0 + 1, x0] * (1 - fx) * fy
-        + texture[y0 + 1, x0 + 1] * fx * fy
-    )
-    return np.floor(val + 0.5).astype(np.uint8)
+    # the whole texture instead would copy it once per rendered frame. The
+    # sum keeps the order T00*gx*gy + T01*fx*gy + T10*gx*fy + T11*fx*fy.
+    val = flat[idx] * gx
+    val *= gy
+    term = np.multiply(flat[1:][idx], fx)
+    term *= gy
+    val += term
+    np.multiply(flat[w:][idx], gx, out=term)
+    term *= fy
+    val += term
+    np.multiply(flat[w + 1:][idx], fx, out=term)
+    term *= fy
+    val += term
+    val += 0.5
+    return np.floor(val, out=val).astype(np.uint8)
 
 
-def _motion_offset_grid(
+def _sample_coords(
     motion: MotionSpec,
     t: int,
-    base_x: np.ndarray,
-    base_y: np.ndarray,
+    cols: np.ndarray,
+    rows: np.ndarray,
     center_tex: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Texture sample coordinates for frame t, given base (frame 0) coords."""
+    """Texture sample coordinates for frame t.
+
+    `cols` is the `(1, w)` row of frame-0 texture columns and `rows` the
+    `(h, 1)` column of frame-0 texture rows. Translate and zoom maps are
+    separable and keep those shapes; rotate broadcasts them to full grids.
+    """
+    if t == 0:
+        return cols, rows
     cx, cy = center_tex
-    if motion.kind == "still" or t == 0:
-        return base_x, base_y
     if motion.kind == "translate":
         vx, vy = motion.velocity
-        return base_x - t * vx, base_y - t * vy
+        return cols - t * vx, rows - t * vy
+    dx, dy = cols - cx, rows - cy
     if motion.kind == "rotate":
         # Content rotates by +omega per frame; sample with the inverse map.
         a = -motion.omega * t
         c, s = math.cos(a), math.sin(a)
-        dx, dy = base_x - cx, base_y - cy
         return cx + c * dx - s * dy, cy + s * dx + c * dy
     # zoom: content scales by `rate` per frame about the center
     inv = motion.rate ** (-t)
-    return cx + (base_x - cx) * inv, cy + (base_y - cy) * inv
+    return cx + dx * inv, cy + dy * inv
 
 
 def render_camera_sequence(
@@ -186,6 +243,9 @@ def render_camera_sequence(
     the recorded window reads `viewport` pixels starting at `window_origin`
     with the given sampling stride (1 for crop-only, 2/4 for sub-sampled
     readout). Motion is expressed in field-of-view pixels per frame.
+
+    A still scene is rendered once: every frame shares one read-only pixel
+    buffer.
     """
     if n_frames <= 0:
         raise RangeError("n_frames must be positive")
@@ -204,14 +264,17 @@ def render_camera_sequence(
         )
     center_tex = (base_off_x + (fw - 1) / 2, base_off_y + (fh - 1) / 2)
 
-    cols = base_off_x + ox + stride * np.arange(vw, dtype=np.float64)
-    rows = base_off_y + oy + stride * np.arange(vh, dtype=np.float64)
-    base_x, base_y = np.meshgrid(cols, rows)
+    cols = base_off_x + ox + stride * np.arange(vw, dtype=np.float64)[None, :]
+    rows = base_off_y + oy + stride * np.arange(vh, dtype=np.float64)[:, None]
 
-    frames = []
     dt = 1.0 / frame_rate if frame_rate > 0 else 0.0
+    if motion.kind == "still":
+        pixels = _bilinear(tex, cols, rows, 0)
+        pixels.flags.writeable = False
+        return [Frame(vw, vh, pixels, index=t, timestamp=t * dt) for t in range(n_frames)]
+    frames = []
     for t in range(n_frames):
-        sx, sy = _motion_offset_grid(motion, t, base_x, base_y, center_tex)
+        sx, sy = _sample_coords(motion, t, cols, rows, center_tex)
         pixels = _bilinear(tex, sx, sy, t)
         frames.append(Frame(vw, vh, pixels, index=t, timestamp=t * dt))
     return frames

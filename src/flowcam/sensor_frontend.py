@@ -41,7 +41,9 @@ class Frame:
     timestamp: float = 0.0
 
     def __post_init__(self) -> None:
-        self.pixels = np.asarray(self.pixels, dtype=np.uint8)
+        # Row-major, so every kernel's ravel() is a view; an array that
+        # already is (a shared read-only still frame too) is not copied.
+        self.pixels = np.ascontiguousarray(self.pixels, dtype=np.uint8)
         if self.pixels.shape != (self.height, self.width):
             raise BoundsError(
                 f"pixel buffer shape {self.pixels.shape} does not match "

@@ -3,12 +3,15 @@
 The pipeline keeps corners, features and vectors as NumPy batches. These
 helpers work one corner or one pair at a time on the record types
 (`Feature`, `FlowVector`) and have no caller in `src/`. The converters at
-the top turn record lists into the batch types and back.
+the top turn record lists into the batch types and back. The scene renderer
+at the bottom samples full 2-D coordinate grids for every frame.
 """
+
+import math
 
 import numpy as np
 
-from flowcam.errors import MarginError, RangeError
+from flowcam.errors import CoverageError, MarginError, RangeError
 from flowcam.feature_engine import (
     DESCRIPTOR_BITS,
     PATCH_RADIUS,
@@ -20,6 +23,7 @@ from flowcam.feature_engine import (
     select_corners,
 )
 from flowcam.matcher import NO_COMPETITOR, FlowVector, VectorBatch
+from flowcam.sensor_frontend import Frame
 
 # ---------------------------------------------------------------------------
 # Records <-> batches
@@ -150,3 +154,81 @@ def match_features_bruteforce(prev, curr, max_displacement):
             FlowVector(f.x, f.y, g.x - f.x, g.y - f.y, best_ham, second)
         )
     return vectors
+
+
+# ---------------------------------------------------------------------------
+# Scene rendering on full coordinate grids
+# ---------------------------------------------------------------------------
+
+
+def _bilinear_reference(texture, sx, sy, frame_index):
+    """Bilinear sample at 2-D grids sx, sy with four 2-D fancy indexes."""
+    h, w = texture.shape
+    if sx.min() < 0 or sy.min() < 0 or sx.max() > w - 1 or sy.max() > h - 1:
+        raise CoverageError(
+            f"frame {frame_index}: motion samples the texture outside its bounds"
+        )
+    x0 = np.floor(sx).astype(np.int64)
+    y0 = np.floor(sy).astype(np.int64)
+    fx = sx - x0
+    fy = sy - y0
+    if not fx.any() and not fy.any():
+        return texture[y0, x0]
+    x0 = np.minimum(x0, w - 2)
+    y0 = np.minimum(y0, h - 2)
+    fx = sx - x0
+    fy = sy - y0
+    val = (
+        texture[y0, x0] * (1 - fx) * (1 - fy)
+        + texture[y0, x0 + 1] * fx * (1 - fy)
+        + texture[y0 + 1, x0] * (1 - fx) * fy
+        + texture[y0 + 1, x0 + 1] * fx * fy
+    )
+    return np.floor(val + 0.5).astype(np.uint8)
+
+
+def _motion_grid_reference(motion, t, base_x, base_y, center_tex):
+    """Texture sample grids for frame t, given the frame-0 grids."""
+    cx, cy = center_tex
+    if motion.kind == "still" or t == 0:
+        return base_x, base_y
+    if motion.kind == "translate":
+        vx, vy = motion.velocity
+        return base_x - t * vx, base_y - t * vy
+    if motion.kind == "rotate":
+        a = -motion.omega * t
+        c, s = math.cos(a), math.sin(a)
+        dx, dy = base_x - cx, base_y - cy
+        return cx + c * dx - s * dy, cy + s * dx + c * dy
+    inv = motion.rate ** (-t)
+    return cx + (base_x - cx) * inv, cy + (base_y - cy) * inv
+
+
+def render_reference(texture, motion, n_frames, viewport, *, fov=None,
+                     window_origin=(0, 0), stride=1, frame_rate=0.0):
+    """`render_camera_sequence` as a meshgrid of frame-0 coordinates that
+    every frame, still ones included, maps and samples in full."""
+    if n_frames <= 0:
+        raise RangeError("n_frames must be positive")
+    vw, vh = viewport
+    fw, fh = fov if fov is not None else (vw * stride, vh * stride)
+    ox, oy = window_origin
+    if ox + vw * stride > fw or oy + vh * stride > fh:
+        raise CoverageError("window does not fit inside the field of view")
+    base_off_x = (texture.width - fw) / 2
+    base_off_y = (texture.height - fh) / 2
+    if base_off_x < 0 or base_off_y < 0:
+        raise CoverageError(
+            f"texture {texture.width}x{texture.height} smaller than fov {fw}x{fh}"
+        )
+    center_tex = (base_off_x + (fw - 1) / 2, base_off_y + (fh - 1) / 2)
+    cols = base_off_x + ox + stride * np.arange(vw, dtype=np.float64)
+    rows = base_off_y + oy + stride * np.arange(vh, dtype=np.float64)
+    base_x, base_y = np.meshgrid(cols, rows)
+    dt = 1.0 / frame_rate if frame_rate > 0 else 0.0
+    frames = []
+    for t in range(n_frames):
+        sx, sy = _motion_grid_reference(motion, t, base_x, base_y, center_tex)
+        pixels = _bilinear_reference(texture.pixels, sx, sy, t)
+        frames.append(Frame(vw, vh, pixels, index=t, timestamp=t * dt))
+    return frames

@@ -180,6 +180,18 @@ class TestTypedInputErrors:
                             option, value)
         assert err.startswith("flowcam gen: ") and option in err
 
+    @pytest.mark.parametrize("args", [
+        ("gen", "--motion", "translate", "--velocity", "nan,0"),
+        ("gen", "--motion", "zoom", "--zoom-rate", "nan"),
+        ("gen", "--motion", "rotate", "--omega-deg", "inf"),
+        ("run", "--param-set", 6, "--scenario", "translate-easy", "--speed", "nan"),
+        ("run", "--param-set", 6, "--scenario", "rotate", "--omega-deg-frame", "nan"),
+        ("run", "--param-set", 6, "--scenario", "zoom", "--zoom-rate-frame", "inf"),
+    ])
+    def test_non_finite_motion(self, capsys, tmp_path, args):
+        err = self.run_main(capsys, *args, "--frames", 2, "--out", tmp_path / "o")
+        assert err.startswith(f"flowcam {args[0]}: ") and "finite" in err
+
     def test_empty_pgm_frame(self, capsys, tmp_path):
         seq = tmp_path / "seq"
         seq.mkdir()

@@ -332,6 +332,17 @@ class TestFeatureSet:
         assert features.desc.dtype == np.uint8 and features.desc.flags.c_contiguous
         assert list(features) == describe_per_corner(frame, corners)
 
+    def test_fortran_ordered_input_is_stored_row_major(self):
+        pixels = textured_frame(width=96, height=80, seed=7).pixels
+        fortran = Frame.from_array(np.asfortranarray(pixels))
+        copy = Frame.from_array(pixels.copy())
+        assert fortran.pixels.flags.c_contiguous
+        assert Frame.from_array(pixels).pixels is pixels  # row-major: no copy
+        corners = detect_fast(fortran, 20)
+        assert len(corners) > 0
+        assert np.array_equal(corners, detect_fast(copy, 20))
+        assert list(describe_corners(fortran, corners)) == list(describe_corners(copy, corners))
+
 
 class TestThresholdController:
     def state(self, threshold, target=512, cap=2048, budget=4):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowcam.errors import CoverageError, FrameSizeError, RangeError
 from flowcam.feature_engine import detect_fast
 from flowcam.scene_synth import (
+    MOTION_KINDS,
     MotionSpec,
     TextureSpec,
     _bilinear,
@@ -18,7 +21,8 @@ from flowcam.scene_synth import (
     render_sequence,
     save_sequence,
 )
-from flowcam.sensor_frontend import subsample
+from flowcam.sensor_frontend import Frame, subsample
+from oracles import render_reference
 
 
 class TestTextures:
@@ -65,6 +69,20 @@ class TestTextures:
             TextureSpec("marble", 0, (128, 128))
 
 
+class TestMotionSpec:
+    @pytest.mark.parametrize("kind, kwargs", [
+        ("translate", {"velocity": (math.nan, 0.0)}),
+        ("translate", {"velocity": (0.0, -math.inf)}),
+        ("zoom", {"rate": math.nan}),
+        ("zoom", {"rate": math.inf}),
+        ("rotate", {"omega": math.inf}),
+        ("rotate", {"center": (math.nan, 10.0)}),
+    ])
+    def test_non_finite_value_rejected(self, kind, kwargs):
+        with pytest.raises(RangeError, match="finite"):
+            MotionSpec(kind, **kwargs)
+
+
 class TestRenderSequence:
     def test_still_motion_identical_frames(self):
         tex = generate_texture(TextureSpec("blocks", 1, (128, 128)))
@@ -72,6 +90,16 @@ class TestRenderSequence:
         assert len(frames) == 4
         for f in frames[1:]:
             assert np.array_equal(f.pixels, frames[0].pixels)
+
+    def test_still_frames_share_one_read_only_buffer(self):
+        tex = generate_texture(TextureSpec("blocks", 1, (128, 128)))
+        frames = render_camera_sequence(tex, MotionSpec("still"), 4, (64, 64),
+                                        frame_rate=50.0)
+        assert all(f.pixels is frames[0].pixels for f in frames)
+        assert [(f.index, f.timestamp) for f in frames] == [
+            (0, 0.0), (1, 0.02), (2, 0.04), (3, 0.06)]
+        with pytest.raises(ValueError):
+            frames[2].pixels[0, 0] = 1
 
     def test_integer_translation_is_exact_shift(self):
         tex = generate_texture(TextureSpec("blocks", 2, (160, 160)))
@@ -120,6 +148,15 @@ class TestRenderSequence:
         expected = np.floor(val + 0.5).astype(np.uint8)
         assert np.array_equal(_bilinear(tex, sx, sy, 0), expected)
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_bilinear_rejects_nan_coordinate(self, axis):
+        tex = np.zeros((20, 30), dtype=np.uint8)
+        sx = np.full((1, 5), 3.5)
+        sy = np.full((4, 1), 2.25)
+        (sx if axis == "x" else sy)[0, 0] = math.nan
+        with pytest.raises(CoverageError, match="frame 7"):
+            _bilinear(tex, sx, sy, 7)
+
     def test_strided_readout_matches_decimation(self):
         tex = generate_texture(TextureSpec("blocks", 6, (256, 256)))
         motion = MotionSpec("translate", velocity=(2, 0))
@@ -129,6 +166,77 @@ class TestRenderSequence:
         )
         for f, s in zip(full, strided):
             assert np.array_equal(subsample(f, 2, "decimate").pixels, s.pixels)
+
+
+VELOCITY = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.integers(-12, 12).map(lambda k: k / 4),
+    st.floats(-2.5, 2.5),
+)
+
+
+@st.composite
+def render_cases(draw):
+    """Window, field of view, texture size and motion for one render."""
+    stride = draw(st.sampled_from([1, 2, 4]))
+    vw, vh = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    ox, oy = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    fov = (ox + vw * stride + draw(st.integers(0, 3)),
+           oy + vh * stride + draw(st.integers(0, 3)))
+    size = (fov[0] + draw(st.integers(0, 9)), fov[1] + draw(st.integers(0, 9)))
+    motion = MotionSpec(
+        draw(st.sampled_from(MOTION_KINDS)),
+        velocity=(draw(VELOCITY), draw(VELOCITY)),
+        rate=draw(st.one_of(st.just(1.0), st.floats(0.8, 1.25))),
+        omega=draw(st.floats(-0.5, 0.5)),
+    )
+    return size, motion, draw(st.integers(1, 5)), (vw, vh), fov, (ox, oy), stride
+
+
+def render_outcome(render, texture, case):
+    """The frames a renderer returns, or the text of its CoverageError."""
+    _, motion, n_frames, viewport, fov, origin, stride = case
+    try:
+        return render(texture, motion, n_frames, viewport, fov=fov,
+                      window_origin=origin, stride=stride, frame_rate=60.0)
+    except CoverageError as exc:
+        return str(exc)
+
+
+class TestRenderOracle:
+    """`render_camera_sequence` against the full-grid reference renderer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), case=render_cases())
+    # integer samples at exactly w-1 and h-1 (the direct gather)
+    @example(seed=1, case=((8, 8), MotionSpec("still"), 2, (8, 8), (8, 8), (0, 0), 1))
+    # x at exactly w-1 while y is fractional, down to the last cell: x0
+    # clamps to w-2 with fx = 1, or the +w+1 corner would leave the texture
+    @example(seed=2, case=((8, 10), MotionSpec("translate", velocity=(0.0, -0.5)), 3,
+                           (8, 8), (8, 8), (0, 0), 1))
+    # y at exactly h-1 while x is fractional, out to the last cell
+    @example(seed=3, case=((10, 8), MotionSpec("translate", velocity=(-0.5, 0.0)), 3,
+                           (8, 8), (8, 8), (0, 0), 1))
+    # stride 4 from an unaligned origin, half-pixel texture offsets
+    @example(seed=4, case=((40, 30), MotionSpec("translate", velocity=(0.25, -0.75)), 3,
+                           (8, 6), (37, 27), (3, 1), 4))
+    # the content leaves the texture at frame 2
+    @example(seed=5, case=((20, 12), MotionSpec("translate", velocity=(3.0, 0.0)), 5,
+                           (8, 8), (12, 8), (1, 0), 1))
+    def test_matches_full_grid_reference(self, seed, case):
+        w, h = case[0]
+        rng = np.random.default_rng(seed)
+        texture = Frame.from_array(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
+        expected = render_outcome(render_reference, texture, case)
+        got = render_outcome(render_camera_sequence, texture, case)
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g.pixels.flags.c_contiguous
+            assert (g.index, g.timestamp) == (e.index, e.timestamp)
+            assert np.array_equal(g.pixels, e.pixels)
 
 
 class TestGroundTruth:
