@@ -121,7 +121,7 @@ def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:
     vert[0] = padded[size - 1]
     np.subtract(padded[size:], padded[:-size], out=vert[1:])
     vert /= size
-    del padded
+    del padded  # free the column sums before `out` is allocated
     np.cumsum(vert, axis=1, out=vert)
     out = np.empty((h, pw - size + 1))
     out[:, 0] = vert[:, size - 1]
