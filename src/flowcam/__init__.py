@@ -32,6 +32,7 @@ from .sensor_frontend import (
 )
 from .track_analyzer import (
     Track,
+    TrackSet,
     accuracy_metrics,
     analyze,
     link_tracks,
@@ -55,6 +56,7 @@ __all__ = [
     "SensorConfig",
     "TextureSpec",
     "Track",
+    "TrackSet",
     "VectorBatch",
     "accuracy_metrics",
     "analyze",

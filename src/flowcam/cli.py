@@ -23,6 +23,7 @@ from .pipeline import (
     PARAMETER_SETS,
     SCENARIOS,
     finalize_report,
+    frames_for_duration,
     of_scale_for,
     run_pipeline,
     synthesize_sequence,
@@ -146,7 +147,7 @@ def cmd_run(args) -> int:
     else:
         if args.scenario is None:
             raise FlowcamError("one of --seq or --scenario is required")
-        n_frames = args.frames or round(config.frame_rate * args.duration)
+        n_frames = args.frames or frames_for_duration(config, args.duration)
         frames, gt = synthesize_sequence(
             config, args.scenario, n_frames, seed=args.seed,
             speed_px_s=args.speed, omega_deg_frame=args.omega_deg_frame,

@@ -318,6 +318,13 @@ def synthesize_sequence(
     return frames, gt
 
 
+def frames_for_duration(config: SensorConfig, duration_s: float) -> int:
+    """Frame count of a `duration_s`-second sequence at the config's rate."""
+    if not math.isfinite(duration_s):
+        raise RangeError(f"duration must be finite, got {duration_s}")
+    return round(config.frame_rate * duration_s)
+
+
 def run_parameter_set(
     set_id: int,
     scenario: str,
@@ -336,7 +343,7 @@ def run_parameter_set(
         raise RangeError(f"parameter set must be 1..7, got {set_id}")
     config = PARAMETER_SETS[set_id]
     if n_frames is None:
-        n_frames = round(config.frame_rate * duration_s)
+        n_frames = frames_for_duration(config, duration_s)
     frames, gt = synthesize_sequence(
         config, scenario, n_frames, seed=seed, speed_px_s=speed_px_s,
         omega_deg_frame=omega_deg_frame, zoom_rate_frame=zoom_rate_frame,

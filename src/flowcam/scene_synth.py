@@ -92,7 +92,7 @@ def _foliage(rng: np.random.Generator, w: int, h: int) -> np.ndarray:
     """Band-limited noise: smoothed white noise, low contrast structure."""
     noise = rng.normal(0.0, 1.0, size=(h, w))
     for _ in range(2):
-        noise = _box_blur(noise, 2)
+        _box_blur(noise, 2)
     lo, hi = noise.min(), noise.max()
     # floor((noise - lo) / (hi - lo) * 255 + 0.5), one step at a time in place
     noise -= lo
@@ -102,12 +102,13 @@ def _foliage(rng: np.random.Generator, w: int, h: int) -> np.ndarray:
     return np.floor(noise, out=noise).astype(np.uint8)
 
 
-def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:
-    """Mean over a (2r+1)-square with edge padding, from two prefix sums.
+def _box_blur(img: np.ndarray, radius: int) -> None:
+    """Replace `img` by its mean over a (2r+1)-square with edge padding.
 
     A window sum is the difference of two prefix sums `size` apart; the
     first window's is the prefix sum itself (the same bits as subtracting
-    the zero prefix). Both passes run in place in their own buffers.
+    the zero prefix). Padding copies `img`, so the result is written back
+    into it: the padded buffer is the only one allocated.
     """
     size = 2 * radius + 1
     padded = np.pad(img, radius, mode="edge")
@@ -116,18 +117,16 @@ def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:
     # and is about four times slower on a large texture.
     for i in range(1, padded.shape[0]):
         padded[i] += padded[i - 1]
-    h, pw = padded.shape[0] - size + 1, padded.shape[1]
-    vert = np.empty((h, pw))
-    vert[0] = padded[size - 1]
-    np.subtract(padded[size:], padded[:-size], out=vert[1:])
+    # Window differences in place, bottom row first, so every prefix row is
+    # read before it is overwritten.
+    for i in range(padded.shape[0] - 1, size - 1, -1):
+        padded[i] -= padded[i - size]
+    vert = padded[size - 1:]
     vert /= size
-    del padded  # free the column sums before `out` is allocated
     np.cumsum(vert, axis=1, out=vert)
-    out = np.empty((h, pw - size + 1))
-    out[:, 0] = vert[:, size - 1]
-    np.subtract(vert[:, size:], vert[:, :-size], out=out[:, 1:])
-    out /= size
-    return out
+    img[:, 0] = vert[:, size - 1]
+    np.subtract(vert[:, size:], vert[:, :-size], out=img[:, 1:])
+    img /= size
 
 
 def _wheel(rng: np.random.Generator, w: int, h: int) -> np.ndarray:

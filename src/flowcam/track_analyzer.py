@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+
+import numpy as np
 
 from .errors import AlignmentError, FlowcamError, RangeError
 from .matcher import VectorBatch
@@ -26,7 +28,7 @@ REDETECT_RADIUS = 1
 
 @dataclass
 class Track:
-    """One physical feature followed across frames."""
+    """One physical feature followed across frames, as a `TrackSet` yields it."""
 
     id: int
     points: list[tuple[int, int, int]]  # (frame index, x, y)
@@ -45,97 +47,245 @@ class Track:
         return len(self.points)
 
 
-def link_tracks(per_frame_vectors: list[VectorBatch]) -> list[Track]:
+@dataclass(frozen=True, eq=False)
+class TrackSet:
+    """Tracks as flat int64 arrays, one segment per track.
+
+    `ids` holds the n track ids. `points` is an (m, 3) array of (frame, x, y)
+    rows grouped by track, frames ascending within a track: track k is
+    `points[offsets[k]:offsets[k + 1]]` and has at least one point. `gaps` is a
+    (g, 2) array of re-detection gaps (first, last missing frame), segmented
+    the same way by `gap_offsets`. Iterating yields `Track` records; two sets
+    are equal when their arrays are.
+    """
+
+    ids: np.ndarray
+    points: np.ndarray
+    offsets: np.ndarray
+    gaps: np.ndarray
+    gap_offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __iter__(self):
+        points = list(map(tuple, self.points.tolist()))
+        gaps = list(map(tuple, self.gaps.tolist()))
+        po, go = self.offsets.tolist(), self.gap_offsets.tolist()
+        for k, tid in enumerate(self.ids.tolist()):
+            yield Track(tid, points[po[k]:po[k + 1]], gaps[go[k]:go[k + 1]])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrackSet):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+    __hash__ = None
+
+
+def _segment_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices of the runs `starts[i]`, ..., `starts[i] + lengths[i] - 1`, in order."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    out = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def _point_keys(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One int64 per (x, y), equal exactly when both coordinates are.
+
+    Injective for coordinates in [-2**31, 2**31): a decoded stream's unsigned
+    16-bit positions plus signed 16-bit displacements lie well inside. Keys
+    ascend in row-major order, the order the matcher emits tails in, so the
+    stable sorts below mostly meet presorted runs.
+    """
+    return y * (1 << 32) + x
+
+
+def link_tracks(per_frame_vectors: list[VectorBatch]) -> TrackSet:
     """Chain flow vectors into tracks.
 
     Entry t of the input holds the vectors from frame t-1 to frame t (entry 0
     is normally empty). A vector extends the track whose last point is exactly
     its previous-frame position; otherwise it starts a new two-point track.
-    When two tracks converge on the same point, the older one continues.
+    When two tracks converge on the same point, the older one (the earlier
+    row) keeps it; when two vectors leave the same point, the earlier row
+    continues the track. New tracks are numbered by frame, then row.
+
+    Frame t-1's heads are sorted by position once, and frame t's distinct
+    tails are looked up among them with one `searchsorted`.
     """
-    tracks: list[Track] = []
-    open_ends: dict[tuple[int, int, int], int] = {}
+    blocks = []  # per frame: (track id, frame, x, y) columns
+    head_keys = head_ids = np.empty(0, dtype=np.int64)
+    n_tracks = 0
     for t, vectors in enumerate(per_frame_vectors):
-        for x, y, dx, dy, _, _ in vectors.rows.tolist():
-            tail = (t - 1, x, y)
-            head = (t, x + dx, y + dy)
-            tid = open_ends.pop(tail, None)
-            if tid is None:
-                tid = len(tracks)
-                tracks.append(Track(tid, [tail, head]))
-            else:
-                tracks[tid].points.append(head)
-            open_ends.setdefault(head, tid)
-    return tracks
+        x, y, dx, dy = vectors.rows[:, :4].T
+        hx, hy = x + dx, y + dy
+        tid = np.full(x.size, -1, dtype=np.int64)
+        tails, first = np.unique(_point_keys(x, y), return_index=True)
+        pos = np.searchsorted(head_keys, tails)
+        hit = pos < head_keys.size
+        hit[hit] = head_keys[pos[hit]] == tails[hit]
+        tid[first[hit]] = head_ids[pos[hit]]
+        new = np.flatnonzero(tid < 0)
+        tid[new] = np.arange(n_tracks, n_tracks + new.size)
+        n_tracks += new.size
+        frame = np.full(new.size + x.size, t, dtype=np.int64)
+        frame[:new.size] = t - 1
+        blocks.append((np.concatenate((tid[new], tid)), frame,
+                       np.concatenate((x[new], hx)), np.concatenate((y[new], hy))))
+        head_keys, first = np.unique(_point_keys(hx, hy), return_index=True)
+        head_ids = tid[first]
+    if blocks:
+        tid, frame, x, y = (np.concatenate(col) for col in zip(*blocks))
+    else:
+        tid = frame = x = y = np.empty(0, dtype=np.int64)
+    order = np.lexsort((frame, tid))
+    return TrackSet(
+        np.arange(n_tracks, dtype=np.int64),
+        np.stack((frame[order], x[order], y[order]), axis=1),
+        _offsets(np.bincount(tid, minlength=n_tracks)),
+        np.empty((0, 2), dtype=np.int64),
+        np.zeros(n_tracks + 1, dtype=np.int64),
+    )
 
 
-def redetect(tracks: list[Track], max_gap: int, radius: int) -> list[Track]:
+def _candidate_table(
+    starts: np.ndarray, ends: np.ndarray, ids: np.ndarray, max_gap: int, radius: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """For every track end, the tracks whose start may continue it, best first.
+
+    `starts` and `ends` are the (frame, x, y) first and last points of the
+    tracks. Track s is a candidate for the end of track e when s starts
+    2..max_gap+1 frames after e ends, within Chebyshev `radius`. Returns the
+    candidate track indices and the (n+1,) offsets that segment them by end;
+    each end's candidates are sorted by (start frame, Chebyshev distance,
+    start y, start x, id).
+
+    Points are keyed linearly by (frame, y, x) in a box padded by `radius`,
+    so key(end) + key(offset) is the key of the shifted point (the key
+    stays below 2**63 for any stream the wire format can carry). The starts
+    within `radius` in x of a probed (frame, y) are one run of the sorted
+    start keys; the probes of all (frame, y) offsets are bounded with two
+    `searchsorted` calls over the ends in key order, so each offset's
+    probes arrive sorted.
+    """
+    n = ids.size
+    both = np.concatenate((starts, ends))
+    f0, x0, y0 = both.min(axis=0)
+    _, x1, y1 = both.max(axis=0)
+    width = x1 - x0 + 2 * radius + 1
+    height = y1 - y0 + 2 * radius + 1
+
+    def keys(p):
+        return ((p[:, 0] - f0) * height + p[:, 2] - y0 + radius) * width + p[:, 1] - x0 + radius
+
+    # No start lies further than this past any end, so wider gaps go unprobed.
+    df = np.arange(2, min(max_gap + 1, starts[:, 0].max() - ends[:, 0].min()) + 1)
+    dy = np.arange(-radius, radius + 1)
+    probe = ((df[:, None] * height + dy).ravel() * width - radius)[:, None]
+    start_order = np.lexsort((ids, keys(starts)))
+    start_keys = keys(starts)[start_order]
+    end_keys = keys(ends)
+    end_order = np.argsort(end_keys, kind="stable")
+    window = (end_keys[end_order] + probe).ravel()
+    lo = np.searchsorted(start_keys, window, side="left")
+    window += 2 * radius
+    counts = np.searchsorted(start_keys, window, side="right")
+    counts -= lo
+    hit = np.flatnonzero(counts)
+    counts = counts[hit]
+    rank = _segment_gather(lo[hit], counts)  # position among the sorted starts
+    end = np.repeat(end_order[hit % n], counts)
+    cand = start_order[rank]
+    cheb = np.abs(starts[cand, 1:] - ends[end, 1:]).max(axis=1)
+    best = np.lexsort((rank, cheb, starts[cand, 0], end))
+    return cand[best], _offsets(np.bincount(end, minlength=n))
+
+
+def redetect(tracks: TrackSet, max_gap: int, radius: int) -> TrackSet:
     """Merge a track that re-appears near where another ended.
 
     A track ending at frame t joins one starting at frame t' when
     1 < t' - t <= max_gap + 1 and the endpoints are within `radius`
-    (Chebyshev). Greedy in ascending end time; among candidates the earliest
-    start wins, then the spatially nearest, then the smaller row-major
-    position. Gap frame ranges are recorded on the merged track.
+    (Chebyshev). Greedy in ascending end time, then id; among candidates the
+    earliest start wins, then the spatially nearest, then the smaller
+    row-major position, then the smaller id. Gap frame ranges are recorded
+    on the merged track, which keeps the id and place of its first track.
 
-    Track starts are indexed once by frame and by square grid cell of side
-    radius + 1, so every start within `radius` of an endpoint lies in the
-    3x3 cells around it. A track end probes at most 9 cells in each of the
-    `max_gap` candidate frames, stopping at the first frame with a match, so
-    its cost grows with the starts near it rather than with all starts in
-    those frames.
+    The candidates of every track end are tabled once. A merged track ends
+    where the last track it absorbed ends, so only ends that have candidates
+    ever enter the heap. The input is not modified.
     """
     if max_gap < 1:
         raise RangeError(f"max_gap must be at least 1, got {max_gap}")
-    merged = [Track(t.id, list(t.points), list(t.gaps)) for t in tracks]
-    alive = {t.id: t for t in merged}
-    cell = radius + 1
-    starts: dict[int, dict[tuple[int, int], list[Track]]] = {}
-    for t in merged:
-        frame, x, y = t.points[0]
-        starts.setdefault(frame, {}).setdefault((x // cell, y // cell), []).append(t)
+    if radius < 0:
+        raise RangeError(f"radius must be at least 0, got {radius}")
+    n = len(tracks)
+    if not n:
+        return tracks
+    starts = tracks.points[tracks.offsets[:-1]]
+    ends = tracks.points[tracks.offsets[1:] - 1]
+    cand, cand_offsets = _candidate_table(starts, ends, tracks.ids, max_gap, radius)
 
-    # Process track ends in ascending time; a merge extends the end, so the
-    # surviving track is revisited at its new end time.
-    heap = [(t.end_frame, t.id) for t in merged]
+    cand, co = cand.tolist(), cand_offsets.tolist()
+    end_frame, ids = ends[:, 0].tolist(), tracks.ids.tolist()
+    heap = [(end_frame[k], ids[k], k) for k in np.flatnonzero(np.diff(cand_offsets)).tolist()]
     heapq.heapify(heap)
-    consumed: set[int] = set()
+    absorbed = [False] * n
+    nxt = [-1] * n  # the track absorbed after this one in its chain
+    last = list(range(n))  # the last track of the chain headed by this one
     while heap:
-        end_frame, tid = heapq.heappop(heap)
-        track = alive.get(tid)
-        if track is None or tid in consumed or track.end_frame != end_frame:
+        _, tid, k = heapq.heappop(heap)
+        if absorbed[k]:
             continue
-        _, ex, ey = track.points[-1]
-        cx, cy = ex // cell, ey // cell
-        best = None
-        for start in range(end_frame + 2, end_frame + max_gap + 2):
-            grid = starts.get(start)
-            if grid is None:
-                continue
-            for gx in (cx - 1, cx, cx + 1):
-                for gy in (cy - 1, cy, cy + 1):
-                    for cand in grid.get((gx, gy), ()):
-                        if cand.id == tid or cand.id in consumed or cand.id not in alive:
-                            continue
-                        _, sx, sy = cand.points[0]
-                        cheb = max(abs(sx - ex), abs(sy - ey))
-                        if cheb > radius:
-                            continue
-                        key = (cheb, sy, sx, cand.id)
-                        if best is None or key < best[0]:
-                            best = (key, cand)
-            if best is not None:
+        e = last[k]
+        for i in range(co[e], co[e + 1]):
+            if not absorbed[cand[i]]:
                 break
-        if best is None:
+        else:
             continue
-        other = best[1]
-        track.gaps.append((end_frame + 1, other.start_frame - 1))
-        track.points.extend(other.points)
-        track.gaps.extend(other.gaps)
-        consumed.add(other.id)
-        del alive[other.id]
-        heapq.heappush(heap, (track.end_frame, tid))
-    return [t for t in merged if t.id not in consumed]
+        s = cand[i]
+        absorbed[s] = True
+        nxt[e] = s
+        last[k] = e = last[s]
+        if co[e] < co[e + 1]:
+            heapq.heappush(heap, (end_frame[e], tid, k))
+
+    chain, heads = [], []  # tracks in output order; where each chain starts
+    for k in range(n):
+        if not absorbed[k]:
+            heads.append(len(chain))
+            while k >= 0:
+                chain.append(k)
+                k = nxt[k]
+    heads.append(n)
+    chain = np.array(chain, dtype=np.int64)
+    heads = np.array(heads, dtype=np.int64)
+    lengths = np.diff(tracks.offsets)[chain]
+    points = tracks.points[_segment_gather(tracks.offsets[chain], lengths)]
+
+    # Each track contributes its own gaps, then the gap to its successor.
+    after = np.array(nxt, dtype=np.int64)[chain]
+    linked = after >= 0
+    link_gaps = np.stack((ends[chain, 0] + 1, starts[after, 0] - 1), axis=1)
+    gap_counts = np.diff(tracks.gap_offsets)[chain] + linked
+    gap_rows = _segment_gather(tracks.gap_offsets[chain], gap_counts)
+    gap_rows[(np.cumsum(gap_counts) - 1)[linked]] = len(tracks.gaps) + np.flatnonzero(linked)
+    gaps = np.concatenate((tracks.gaps, link_gaps))[gap_rows]
+
+    return TrackSet(
+        tracks.ids[chain[heads[:-1]]],
+        points,
+        _offsets(lengths)[heads],
+        gaps,
+        _offsets(gap_counts)[heads],
+    )
 
 
 def mean_flow(vectors: VectorBatch) -> tuple[float, float] | None:
@@ -226,7 +376,7 @@ class Analysis:
 
     estimates: list[tuple[float, float] | None]  # per-frame mean flow
     accuracy: AccuracyReport | None  # None without ground truth
-    tracks: list[Track]  # linked, then re-detected across short gaps
+    tracks: TrackSet  # linked, then re-detected across short gaps
 
 
 def analyze(
@@ -242,8 +392,8 @@ def analyze(
     return Analysis(estimates, accuracy, tracks)
 
 
-def track_stats(tracks: list[Track]) -> dict:
-    lengths = sorted(t.length for t in tracks)
+def track_stats(tracks: TrackSet) -> dict:
+    lengths = np.sort(np.diff(tracks.offsets)).tolist()
     if lengths:
         mid = len(lengths) // 2
         if len(lengths) % 2:
@@ -256,7 +406,7 @@ def track_stats(tracks: list[Track]) -> dict:
         "n_tracks": len(tracks),
         "max_track_len": lengths[-1] if lengths else 0,
         "p50_track_len": p50,
-        "redetected_count": sum(len(t.gaps) for t in tracks),
+        "redetected_count": len(tracks.gaps),
     }
 
 
@@ -320,7 +470,7 @@ def write_frame_report_csv(
 
 
 def write_summary_csv(
-    path: str | Path, report: AccuracyReport | None, tracks: list[Track]
+    path: str | Path, report: AccuracyReport | None, tracks: TrackSet
 ) -> None:
     stats = track_stats(tracks)
     with open(path, "w", newline="", encoding="utf-8") as f:

@@ -1,12 +1,14 @@
 """Per-record reference formulations the tests compare the pipeline against.
 
-The pipeline keeps corners, features and vectors as NumPy batches. These
-helpers work one corner or one pair at a time on the record types
-(`Feature`, `FlowVector`) and have no caller in `src/`. The converters at
-the top turn record lists into the batch types and back. The scene renderer
-at the bottom samples full 2-D coordinate grids for every frame.
+The pipeline keeps corners, features, vectors and tracks as NumPy batches.
+These helpers work one corner, pair, vector or track at a time on the record
+types (`Feature`, `FlowVector`, `Track`) and have no caller in `src/`. The
+converters at the top turn record lists into the batch types and back. The
+scene renderer at the bottom samples full 2-D coordinate grids for every
+frame.
 """
 
+import heapq
 import math
 
 import numpy as np
@@ -24,6 +26,7 @@ from flowcam.feature_engine import (
 )
 from flowcam.matcher import NO_COMPETITOR, FlowVector, VectorBatch
 from flowcam.sensor_frontend import Frame
+from flowcam.track_analyzer import Track, TrackSet
 
 # ---------------------------------------------------------------------------
 # Records <-> batches
@@ -59,6 +62,20 @@ def vector_batch(vectors):
     rows = [(v.x_prev, v.y_prev, v.dx, v.dy, v.best_score, v.second_score)
             for v in vectors]
     return VectorBatch(np.array(rows, dtype=np.int64).reshape(-1, 6))
+
+
+def track_set(tracks):
+    """A list of `Track` records as a `TrackSet`."""
+    def offsets(counts):
+        return np.cumsum([0] + counts, dtype=np.int64)
+
+    return TrackSet(
+        np.array([t.id for t in tracks], dtype=np.int64),
+        np.array([p for t in tracks for p in t.points], dtype=np.int64).reshape(-1, 3),
+        offsets([len(t.points) for t in tracks]),
+        np.array([g for t in tracks for g in t.gaps], dtype=np.int64).reshape(-1, 2),
+        offsets([len(t.gaps) for t in tracks]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +171,75 @@ def match_features_bruteforce(prev, curr, max_displacement):
             FlowVector(f.x, f.y, g.x - f.x, g.y - f.y, best_ham, second)
         )
     return vectors
+
+
+# ---------------------------------------------------------------------------
+# Track analysis, one vector and one candidate at a time
+# ---------------------------------------------------------------------------
+
+
+def link_tracks_reference(per_frame_vectors):
+    """`link_tracks` as one dict `pop`/`setdefault` per vector, on records.
+
+    A vector pops the track that ends at its previous-frame position, so only
+    the first vector leaving a point continues it; its head is claimed with
+    `setdefault`, so the first track reaching a point keeps it.
+    """
+    tracks = []
+    open_ends = {}
+    for t, vectors in enumerate(per_frame_vectors):
+        for x, y, dx, dy, _, _ in vectors.rows.tolist():
+            tail = (t - 1, x, y)
+            head = (t, x + dx, y + dy)
+            tid = open_ends.pop(tail, None)
+            if tid is None:
+                tid = len(tracks)
+                tracks.append(Track(tid, [tail, head]))
+            else:
+                tracks[tid].points.append(head)
+            open_ends.setdefault(head, tid)
+    return tracks
+
+
+def redetect_reference(tracks, max_gap, radius):
+    """The original full scan over `Track` records: every start in the next
+    max_gap frames is a candidate for every track end."""
+    merged = [Track(t.id, list(t.points), list(t.gaps)) for t in tracks]
+    alive = {t.id: t for t in merged}
+    starts = {}
+    for t in merged:
+        starts.setdefault(t.start_frame, []).append(t)
+    heap = [(t.end_frame, t.id) for t in merged]
+    heapq.heapify(heap)
+    consumed = set()
+    while heap:
+        end_frame, tid = heapq.heappop(heap)
+        track = alive.get(tid)
+        if track is None or tid in consumed or track.end_frame != end_frame:
+            continue
+        _, ex, ey = track.points[-1]
+        best = None
+        for start in range(end_frame + 2, end_frame + max_gap + 2):
+            for cand in starts.get(start, ()):
+                if cand.id == tid or cand.id in consumed or cand.id not in alive:
+                    continue
+                _, sx, sy = cand.points[0]
+                cheb = max(abs(sx - ex), abs(sy - ey))
+                if cheb > radius:
+                    continue
+                key = (cand.start_frame, cheb, sy, sx, cand.id)
+                if best is None or key < best[0]:
+                    best = (key, cand)
+        if best is None:
+            continue
+        other = best[1]
+        track.gaps.append((end_frame + 1, other.start_frame - 1))
+        track.points.extend(other.points)
+        track.gaps.extend(other.gaps)
+        consumed.add(other.id)
+        del alive[other.id]
+        heapq.heappush(heap, (track.end_frame, tid))
+    return [t for t in merged if t.id not in consumed]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from flowcam.cli import main
+from flowcam.matcher import VectorBatch
 from flowcam.sensor_frontend import Frame, write_pgm
-from flowcam.wire_format import write_ofv
+from flowcam.wire_format import encode, write_ofv
 
 CLI = [sys.executable, "-m", "flowcam.cli"]
 
@@ -201,3 +202,23 @@ class TestTypedInputErrors:
         err = self.run_main(capsys, "run", "--param-set", 6, "--seq", seq,
                             "--out", tmp_path / "o")
         assert "frame_0001.pgm" in err
+
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_non_finite_duration(self, capsys, tmp_path, duration):
+        err = self.run_main(capsys, "run", "--param-set", 6, "--scenario", "still",
+                            "--duration", duration, "--out", tmp_path / "o")
+        assert err.startswith("flowcam run: ") and "finite" in err
+
+    @pytest.mark.parametrize("command", ["tracks", "report"])
+    @pytest.mark.parametrize("radius", [-1, -2])
+    def test_negative_radius(self, capsys, tmp_path, command, radius):
+        # A track that vanishes for one frame, so there is something to re-detect.
+        rows = [[], [[4, 4, 1, 0, 0, 256]], [], [[6, 4, 1, 0, 0, 256]]]
+        ofv = tmp_path / "s.ofv"
+        write_ofv(ofv, 16, 16, [encode(VectorBatch(np.array(r, dtype=np.int64).reshape(-1, 6)))
+                                for r in rows])
+        gt = tmp_path / "gt.csv"
+        gt.write_text("frame,gt_dx,gt_dy\n" + "".join(f"{i},1.0,0.0\n" for i in range(4)))
+        extra = ["--gt", gt, "--out", tmp_path / "r"] if command == "report" else []
+        err = self.run_main(capsys, command, "--ofv", ofv, "--radius", radius, *extra)
+        assert err.startswith(f"flowcam {command}: ") and "radius" in err

@@ -188,6 +188,11 @@ class TestSynthesizeSequence:
         with pytest.raises(RangeError):
             synthesize_sequence(PARAMETER_SETS[6], "warp", 3)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(RangeError, match="finite"):
+            run_parameter_set(6, "still", duration)
+
     def test_same_seed_same_frames(self):
         cfg = PARAMETER_SETS[6]
         a, _ = synthesize_sequence(cfg, "translate-easy", 3, seed=5)

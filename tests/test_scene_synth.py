@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from flowcam.scene_synth import (
     MotionSpec,
     TextureSpec,
     _bilinear,
+    _foliage,
     generate_texture,
     ground_truth_flow,
     load_manifest,
@@ -59,6 +61,18 @@ class TestTextures:
     def test_noise_uses_full_range(self):
         tex = generate_texture(TextureSpec("noise", 1, (128, 128)))
         assert tex.pixels.min() < 8 and tex.pixels.max() > 247
+
+    def test_foliage_holds_two_float_fields_at_most(self):
+        # The noise field and its padded copy; a third full buffer would
+        # put the peak near 3x.
+        w, h = 512, 384
+        tracemalloc.start()
+        try:
+            _foliage(np.random.default_rng(0), w, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * w * h * 8
 
     def test_undersized_rejected(self):
         with pytest.raises(FrameSizeError):

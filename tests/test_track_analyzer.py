@@ -1,4 +1,3 @@
-import heapq
 import math
 
 import numpy as np
@@ -6,11 +5,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from flowcam.errors import AlignmentError, FlowcamError
+from flowcam.errors import AlignmentError, FlowcamError, RangeError
 from flowcam.matcher import FlowVector
 from flowcam.pipeline import PARAMETER_SETS, run_pipeline, synthesize_sequence
 from flowcam.track_analyzer import (
+    REDETECT_MAX_GAP,
+    REDETECT_RADIUS,
     Track,
+    TrackSet,
     accuracy_metrics,
     analyze,
     link_tracks,
@@ -23,7 +25,12 @@ from flowcam.track_analyzer import (
     write_ground_truth_csv,
     write_summary_csv,
 )
-from oracles import vector_batch
+from oracles import (
+    link_tracks_reference,
+    redetect_reference,
+    track_set,
+    vector_batch,
+)
 
 
 def batches(per_frame):
@@ -47,9 +54,20 @@ class TestLinkTracks:
         assert track.points[0] == (0, 10, 20)
         assert track.points[-1] == (30, 40, 20)
 
+    def test_track_set_layout(self):
+        tracks = link_tracks(batches([[], [vec(10, 10), vec(20, 20)], [vec(11, 10)]]))
+        assert isinstance(tracks, TrackSet) and len(tracks) == 2
+        assert tracks.ids.tolist() == [0, 1]
+        assert tracks.points.tolist() == [[0, 10, 10], [1, 11, 10], [2, 12, 10],
+                                          [0, 20, 20], [1, 21, 20]]
+        assert tracks.offsets.tolist() == [0, 3, 5]
+        assert tracks.gaps.shape == (0, 2) and tracks.gap_offsets.tolist() == [0, 0, 0]
+        assert {a.dtype for a in (tracks.ids, tracks.points, tracks.offsets, tracks.gaps,
+                                  tracks.gap_offsets)} == {np.dtype(np.int64)}
+
     def test_empty_input(self):
-        assert link_tracks([]) == []
-        assert link_tracks(batches([[], [], []])) == []
+        assert list(link_tracks([])) == []
+        assert list(link_tracks(batches([[], [], []]))) == []
 
     def test_one_pixel_offset_breaks_chain(self):
         per_frame = [
@@ -57,7 +75,7 @@ class TestLinkTracks:
             [vec(10, 10, 1, 0)],  # ends at (1, 11, 10)
             [vec(12, 10, 1, 0)],  # starts from (1, 12, 10): no link
         ]
-        tracks = link_tracks(batches(per_frame))
+        tracks = list(link_tracks(batches(per_frame)))
         assert len(tracks) == 2
         assert all(t.length == 2 for t in tracks)
 
@@ -67,7 +85,7 @@ class TestLinkTracks:
             [vec(10, 10, 1, 0), vec(12, 10, -1, 0)],  # both end at (1, 11, 10)
             [vec(11, 10, 1, 0)],
         ]
-        tracks = link_tracks(batches(per_frame))
+        tracks = list(link_tracks(batches(per_frame)))
         assert len(tracks) == 2
         assert tracks[0].length == 3  # older track continued
         assert tracks[1].length == 2
@@ -97,6 +115,11 @@ class TestLinkTracks:
         assert sum(t.length - 1 for t in tracks) == total
 
 
+def redetect_records(tracks, max_gap, radius):
+    """`redetect` on a list of `Track` records, as records."""
+    return list(redetect(track_set(tracks), max_gap, radius))
+
+
 class TestRedetect:
     def track(self, tid, points):
         return Track(tid, points)
@@ -104,7 +127,7 @@ class TestRedetect:
     def test_short_gap_merged(self):
         a = self.track(0, [(9, 50, 50), (10, 50, 50)])
         b = self.track(1, [(12, 50, 50), (13, 50, 50)])
-        [merged] = redetect([a, b], max_gap=2, radius=1)
+        [merged] = redetect_records([a, b], max_gap=2, radius=1)
         assert merged.length == 4
         assert merged.gaps == [(11, 11)]
         assert merged.end_frame == 13
@@ -112,26 +135,26 @@ class TestRedetect:
     def test_long_gap_not_merged(self):
         a = self.track(0, [(9, 50, 50), (10, 50, 50)])
         b = self.track(1, [(20, 50, 50), (21, 50, 50)])
-        assert len(redetect([a, b], max_gap=2, radius=1)) == 2
+        assert len(redetect_records([a, b], max_gap=2, radius=1)) == 2
 
     def test_distance_gate(self):
         a = self.track(0, [(9, 50, 50), (10, 50, 50)])
         b = self.track(1, [(12, 55, 50), (13, 55, 50)])
-        assert len(redetect([a, b], max_gap=2, radius=1)) == 2
+        assert len(redetect_records([a, b], max_gap=2, radius=1)) == 2
 
     def test_no_gaps_identity(self):
         tracks = [
             self.track(0, [(0, 1, 1), (1, 2, 1)]),
             self.track(1, [(1, 9, 9), (2, 9, 9)]),
         ]
-        out = redetect(tracks, max_gap=3, radius=2)
+        out = redetect_records(tracks, max_gap=3, radius=2)
         assert [(t.id, t.points) for t in out] == [(t.id, t.points) for t in tracks]
 
     def test_nearest_start_wins_and_chains(self):
         a = self.track(0, [(5, 50, 50), (6, 50, 50)])
         near = self.track(1, [(8, 50, 50), (9, 50, 50)])
         far = self.track(2, [(11, 50, 50), (12, 50, 50)])
-        out = redetect([a, near, far], max_gap=4, radius=1)
+        out = redetect_records([a, near, far], max_gap=4, radius=1)
         merged = next(t for t in out if t.id == 0)
         assert merged.gaps == [(7, 7), (10, 10)]
         # and the chain continues into the far track afterwards
@@ -147,7 +170,7 @@ class TestRedetect:
             x, y = int(rng.integers(0, 20)), int(rng.integers(0, 20))
             tracks.append(self.track(tid, [(start + k, x, y) for k in range(n)]))
         before = {t.id: t.length for t in tracks}
-        out = redetect(tracks, max_gap=3, radius=2)
+        out = redetect_records(tracks, max_gap=3, radius=2)
         assert len(out) <= len(tracks)
         for t in out:
             assert t.length >= before[t.id]
@@ -156,49 +179,8 @@ class TestRedetect:
         a = self.track(0, [(0, 5, 5), (1, 5, 5), (2, 5, 5)])
         b = self.track(1, [(4, 5, 5), (5, 5, 5)])
         n_vectors = (a.length - 1) + (b.length - 1)
-        [merged] = redetect([a, b], max_gap=2, radius=0)
+        [merged] = redetect_records([a, b], max_gap=2, radius=0)
         assert merged.length - 1 == n_vectors + len(merged.gaps)
-
-
-def redetect_reference(tracks, max_gap, radius):
-    """The original full scan: every start in the next max_gap frames is a
-    candidate for every track end. Kept as the oracle for `redetect`."""
-    merged = [Track(t.id, list(t.points), list(t.gaps)) for t in tracks]
-    alive = {t.id: t for t in merged}
-    starts = {}
-    for t in merged:
-        starts.setdefault(t.start_frame, []).append(t)
-    heap = [(t.end_frame, t.id) for t in merged]
-    heapq.heapify(heap)
-    consumed = set()
-    while heap:
-        end_frame, tid = heapq.heappop(heap)
-        track = alive.get(tid)
-        if track is None or tid in consumed or track.end_frame != end_frame:
-            continue
-        _, ex, ey = track.points[-1]
-        best = None
-        for start in range(end_frame + 2, end_frame + max_gap + 2):
-            for cand in starts.get(start, ()):
-                if cand.id == tid or cand.id in consumed or cand.id not in alive:
-                    continue
-                _, sx, sy = cand.points[0]
-                cheb = max(abs(sx - ex), abs(sy - ey))
-                if cheb > radius:
-                    continue
-                key = (cand.start_frame, cheb, sy, sx, cand.id)
-                if best is None or key < best[0]:
-                    best = (key, cand)
-        if best is None:
-            continue
-        other = best[1]
-        track.gaps.append((end_frame + 1, other.start_frame - 1))
-        track.points.extend(other.points)
-        track.gaps.extend(other.gaps)
-        consumed.add(other.id)
-        del alive[other.id]
-        heapq.heappush(heap, (track.end_frame, tid))
-    return [t for t in merged if t.id not in consumed]
 
 
 def as_tuples(tracks):
@@ -256,19 +238,32 @@ class TestRedetectOracle:
     @settings(max_examples=300, deadline=None)
     def test_matches_full_scan(self, tracks, max_gap, radius):
         expected = as_tuples(redetect_reference(tracks, max_gap, radius))
-        assert as_tuples(redetect(tracks, max_gap, radius)) == expected
+        given_set = track_set(tracks)
+        assert as_tuples(redetect(given_set, max_gap, radius)) == expected
+        assert given_set == track_set(tracks)  # the input is left as it was
 
     def test_hand_made_sets_exercise_their_case(self):
-        [merged] = [t for t in redetect(MERGE_CHAIN, 2, 1) if t.id == 0]
+        [merged] = [t for t in redetect_records(MERGE_CHAIN, 2, 1) if t.id == 0]
         assert len(merged.gaps) == 4
-        out = {t.id: t for t in redetect(CHEB_SY_SX_TIES, 2, 1)}
+        out = {t.id: t for t in redetect_records(CHEB_SY_SX_TIES, 2, 1)}
         assert out[0].points[2:] == [(3, 4, 4), (4, 3, 3)] and 1 not in out
+
+    def test_gaps_of_merged_input_carry_over(self):
+        once = redetect(track_set(MERGE_CHAIN), 1, 3)
+        expected = redetect_reference(list(once), 2, 3)
+        assert as_tuples(redetect(once, 2, 3)) == as_tuples(expected)
+        assert sum(len(t.gaps) for t in expected) > len(once.gaps) > 0
 
     @pytest.mark.parametrize("max_gap,radius", [(4, 1), (1, 1), (2, 2), (5, 3)])
     def test_matches_full_scan_on_rotate_run(self, rotate_tracks, max_gap, radius):
-        expected = redetect_reference(rotate_tracks, max_gap, radius)
+        expected = redetect_reference(list(rotate_tracks), max_gap, radius)
         assert as_tuples(redetect(rotate_tracks, max_gap, radius)) == as_tuples(expected)
         assert sum(len(t.gaps) for t in expected) > 0
+
+    @pytest.mark.parametrize("max_gap,radius", [(0, 1), (1, -1), (4, -2)])
+    def test_window_out_of_range(self, max_gap, radius):
+        with pytest.raises(RangeError):
+            redetect(track_set(MERGE_CHAIN), max_gap, radius)
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +274,54 @@ def rotate_tracks():
     return link_tracks(vectors)
 
 
+# Positions near both ends of the wire range and displacements at its
+# limits; the small pools make tails repeat within a frame and heads
+# converge, so `pop` and `setdefault` order both matter.
+COORDS = st.one_of(st.integers(0, 3), st.integers(65533, 65535))
+SHIFTS = st.one_of(st.integers(-1, 1), st.sampled_from([-32767, 32767]))
+VECTORS = st.builds(vec, COORDS, COORDS, SHIFTS, SHIFTS)
+
+DUPLICATE_TAILS = [[], [vec(0, 0)], [vec(1, 0), vec(1, 0, 0, 1)], [vec(2, 0), vec(1, 1)]]
+CONVERGING_HEADS = [[vec(0, 0, 1, 0), vec(2, 0, -1, 0)], [vec(1, 0, 1, 0)],
+                    [], [vec(2, 0)]]
+WIRE_LIMITS = [[vec(65535, 0, -32767, 32767)], [vec(32768, 32767, 32767, -32767)],
+               [vec(65535, 0, 0, 0), vec(0, 65535, 0, 0)]]
+
+
+class TestLinkOracle:
+    @given(st.lists(st.lists(VECTORS, max_size=8), max_size=7))
+    @example(DUPLICATE_TAILS)
+    @example(CONVERGING_HEADS)
+    @example(WIRE_LIMITS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_vector_dict(self, per_frame):
+        vectors = batches(per_frame)
+        assert as_tuples(link_tracks(vectors)) == as_tuples(link_tracks_reference(vectors))
+
+    def test_hand_made_streams_exercise_their_case(self):
+        [kept, fresh, late] = link_tracks(batches(CONVERGING_HEADS))
+        assert kept.points == [(-1, 0, 0), (0, 1, 0), (1, 2, 0)]
+        assert fresh.points == [(-1, 2, 0), (0, 1, 0)]
+        assert late.points == [(2, 2, 0), (3, 3, 0)]  # the empty frame breaks the chain
+        [first, second] = link_tracks(batches(DUPLICATE_TAILS))
+        assert first.points == [(0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0)]
+        assert second.points == [(1, 1, 0), (2, 1, 1), (3, 2, 1)]
+        [first, second] = link_tracks(batches(WIRE_LIMITS))
+        assert first.points == [(-1, 65535, 0), (0, 32768, 32767), (1, 65535, 0),
+                                (2, 65535, 0)]
+        assert second.points == [(1, 0, 65535), (2, 0, 65535)]
+
+
+@pytest.fixture(scope="module", params=[(1, "still", 6), (3, "rotate", 24),
+                                        (6, "translate-hard", 24)])
+def seed0_vectors(request):
+    set_id, scenario, n_frames = request.param
+    config = PARAMETER_SETS[set_id]
+    frames, _ = synthesize_sequence(config, scenario, n_frames, seed=0)
+    vectors, _ = run_pipeline(config, frames)
+    return vectors
+
+
 class TestAnalyze:
     def test_matches_separate_steps(self):
         per_frame = batches([[], [vec(5, 5), vec(9, 9, 0, 1)], [vec(6, 5)], [], []])
@@ -287,12 +330,17 @@ class TestAnalyze:
         est = [mean_flow(v) for v in per_frame]
         assert result.estimates == est
         assert result.accuracy == accuracy_metrics(est, gt)
-        assert as_tuples(result.tracks) == as_tuples(
-            redetect(link_tracks(per_frame), 2, 1)
-        )
+        assert result.tracks == redetect(link_tracks(per_frame), 2, 1)
 
     def test_without_ground_truth(self):
         assert analyze(batches([[], [vec(5, 5)]])).accuracy is None
+
+    def test_tracks_match_references_on_short_runs(self, seed0_vectors):
+        tracks = analyze(seed0_vectors).tracks
+        expected = redetect_reference(link_tracks_reference(seed0_vectors),
+                                      REDETECT_MAX_GAP, REDETECT_RADIUS)
+        assert tracks == track_set(expected)
+        assert len(tracks) > 100
 
 
 class TestMeanFlow:
