@@ -16,7 +16,6 @@ from pathlib import Path
 
 from flowcam.pipeline import (
     PARAMETER_SETS,
-    of_scale_for,
     run_parameter_set,
     synthesize_sequence,
     throughput_report,
@@ -29,7 +28,6 @@ def run_scenario(scenario: str, sets: list[int], duration: float, seed: int,
                  speed: float, out_dir: Path) -> list[dict]:
     rows = []
     for set_id in sets:
-        config = PARAMETER_SETS[set_id]
         start = time.perf_counter()
         vectors, report = run_parameter_set(
             set_id, scenario, duration, seed=seed, speed_px_s=speed,
@@ -45,7 +43,7 @@ def run_scenario(scenario: str, sets: list[int], duration: float, seed: int,
             "of_frame": f"{report.of_width}x{report.of_height}",
             "of_scale": report.of_scale,
             "mean_vectors": round(
-                sum(report.vectors_per_frame) / max(1, report.n_frames - 1), 1
+                report.per_frame["emitted"].sum() / max(1, report.n_frames - 1), 1
             ),
             "final_rel_err": "n/a" if rel is None else f"{rel:.4f}",
             "rmse_x": f"{summary.get('rmse_x', float('nan')):.4f}",

@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .errors import FlowcamError
+from .errors import FlowcamError, RangeError
 from .pipeline import (
     DEFAULT_OMEGA_DEG_FRAME,
     DEFAULT_SPEED_PX_S,
@@ -24,7 +25,6 @@ from .pipeline import (
     SCENARIOS,
     finalize_report,
     frames_for_duration,
-    of_scale_for,
     run_pipeline,
     synthesize_sequence,
     throughput_report,
@@ -40,15 +40,13 @@ from .scene_synth import (
     render_sequence,
     save_sequence,
 )
-from .sensor_frontend import SensorConfig, load_config
+from .sensor_frontend import SensorConfig, load_config, of_scale
 from .track_analyzer import (
     REDETECT_MAX_GAP,
     REDETECT_RADIUS,
     analyze,
     read_ground_truth_csv,
-    track_stats,
-    write_frame_report_csv,
-    write_summary_csv,
+    write_analysis,
 )
 from .wire_format import read_ofv
 
@@ -69,27 +67,27 @@ def _pair(text: str, option: str) -> tuple[float, float]:
 
 
 def _resolve_config(args) -> SensorConfig:
-    if getattr(args, "param_set", None) is not None:
+    if args.param_set is not None:
         if args.param_set not in PARAMETER_SETS:
             raise FlowcamError(f"--param-set must be 1..7, got {args.param_set}")
         config = PARAMETER_SETS[args.param_set]
-    elif getattr(args, "config", None):
+    elif args.config:
         config = load_config(args.config)
     else:
         raise FlowcamError("one of --param-set or --config is required")
     overrides = {}
-    if getattr(args, "max_displacement", None) is not None:
+    if args.max_displacement is not None:
         overrides["max_displacement"] = args.max_displacement
-    if getattr(args, "ratio_threshold", None) is not None:
+    if args.ratio_threshold is not None:
         overrides["ratio_threshold"] = args.ratio_threshold
     if overrides:
-        from dataclasses import replace
-
         config = replace(config, **overrides)
     return config
 
 
 def cmd_gen(args) -> int:
+    if not (args.frame_rate > 0 and math.isfinite(args.frame_rate)):
+        raise RangeError(f"frame_rate must be positive and finite, got {args.frame_rate}")
     viewport = _size(args.viewport, "--viewport")
     tex_size = _size(args.texture_size, "--texture-size") if args.texture_size else (
         2 * viewport[0], 2 * viewport[1]
@@ -104,11 +102,7 @@ def cmd_gen(args) -> int:
     )
     texture = generate_texture(TextureSpec(args.texture, args.seed, tex_size))
     frames = render_sequence(texture, motion, args.frames, viewport)
-    dummy = SensorConfig(
-        out_width=viewport[0], out_height=viewport[1], frame_rate=args.frame_rate,
-        brief_target=1, brief_max=1, tile_budget=2, max_displacement=1,
-    )
-    scale = of_scale_for(dummy)
+    scale = of_scale(*viewport)
     gt_view = mean_ground_truth_flow(motion)
     gt = [(0.0, 0.0)] + [(gt_view[0] / scale, gt_view[1] / scale)] * (args.frames - 1)
     manifest = {
@@ -163,7 +157,7 @@ def cmd_run(args) -> int:
     print(
         f"{name}: {report.n_frames} frames, OF {report.of_width}x{report.of_height} "
         f"(scale {report.of_scale}), mean vectors "
-        f"{sum(report.vectors_per_frame) / max(1, report.n_frames - 1):.0f}, "
+        f"{report.per_frame['emitted'].sum() / max(1, report.n_frames - 1):.0f}, "
         f"final_rel_err {rel_text}, tracks {summary.get('n_tracks', 0)} "
         f"(max len {summary.get('max_track_len', 0)})"
     )
@@ -192,8 +186,8 @@ def cmd_bench(args) -> int:
 
 def cmd_tracks(args) -> int:
     width, height, per_frame = read_ofv(args.ofv)
-    tracks = analyze(per_frame, max_gap=args.max_gap, radius=args.radius).tracks
-    stats = track_stats(tracks)
+    analysis = analyze(per_frame, max_gap=args.max_gap, radius=args.radius)
+    stats = analysis.summary
     print(
         f"{args.ofv}: {len(per_frame)} frames ({width}x{height}), "
         f"{stats['n_tracks']} tracks, max len {stats['max_track_len']}, "
@@ -201,10 +195,8 @@ def cmd_tracks(args) -> int:
         f"{stats['redetected_count']} re-detections"
     )
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_summary_csv(out_dir / "tracks_summary.csv", None, tracks)
-        print(f"outputs in {out_dir}")
+        write_analysis(analysis, None, args.out, "tracks")
+        print(f"outputs in {Path(args.out)}")
     return 0
 
 
@@ -216,15 +208,12 @@ def cmd_report(args) -> int:
             f"ground truth has {len(gt)} frames, stream has {len(per_frame)}"
         )
     analysis = analyze(per_frame, gt, args.max_gap, args.radius)
+    write_analysis(analysis, gt, args.out, "report")
     accuracy = analysis.accuracy
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_frame_report_csv(out_dir / "report_frames.csv", analysis.estimates, gt, accuracy)
-    write_summary_csv(out_dir / "report_summary.csv", accuracy, analysis.tracks)
     rel = "n/a" if accuracy.final_rel_err is None else f"{accuracy.final_rel_err:.4f}"
     print(
         f"rmse ({accuracy.rmse_x:.4f}, {accuracy.rmse_y:.4f}), final_rel_err {rel}, "
-        f"reports in {out_dir}"
+        f"reports in {Path(args.out)}"
     )
     return 0
 
@@ -235,6 +224,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="On-sensor optical-flow emulator and benchmark harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # flags `run` and `bench` share
+    camera = argparse.ArgumentParser(add_help=False)
+    camera.add_argument("--param-set", type=int, default=None, help="built-in set 1..7")
+    camera.add_argument("--config", default=None, help="key=value config file")
+    camera.add_argument("--seq", default=None, help="directory of frame_*.pgm")
+    camera.add_argument("--seed", type=int, default=0)
+    camera.add_argument("--initial-threshold", type=int, default=INITIAL_THRESHOLD)
+    camera.add_argument("--max-displacement", type=int, default=None)
+    camera.add_argument("--ratio-threshold", type=float, default=None)
+
+    # flags `tracks` and `report` share
+    stream = argparse.ArgumentParser(add_help=False)
+    stream.add_argument("--ofv", required=True)
+    stream.add_argument("--max-gap", type=int, default=REDETECT_MAX_GAP)
+    stream.add_argument("--radius", type=int, default=REDETECT_RADIUS)
 
     p = sub.add_parser("gen", help="generate a synthetic PGM sequence")
     p.add_argument("--out", required=True)
@@ -250,48 +255,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-rate", type=float, default=60.0)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("run", help="run the pipeline over a sequence")
-    p.add_argument("--param-set", type=int, default=None, help="built-in set 1..7")
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--seq", default=None, help="directory of frame_*.pgm")
+    p = sub.add_parser("run", parents=[camera], help="run the pipeline over a sequence")
     p.add_argument("--scenario", choices=SCENARIOS, default=None)
     p.add_argument("--duration", type=float, default=10.0, help="seconds")
     p.add_argument("--frames", type=int, default=None, help="overrides --duration")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--speed", type=float, default=DEFAULT_SPEED_PX_S,
                    help="translation speed, full-sensor px/s")
     p.add_argument("--omega-deg-frame", type=float, default=DEFAULT_OMEGA_DEG_FRAME)
     p.add_argument("--zoom-rate-frame", type=float, default=DEFAULT_ZOOM_RATE_FRAME)
-    p.add_argument("--initial-threshold", type=int, default=INITIAL_THRESHOLD)
-    p.add_argument("--max-displacement", type=int, default=None)
-    p.add_argument("--ratio-threshold", type=float, default=None)
     p.add_argument("--name", default=None, help="output file basename")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("bench", help="measure software throughput")
-    p.add_argument("--param-set", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seq", default=None)
+    p = sub.add_parser("bench", parents=[camera], help="measure software throughput")
     p.add_argument("--frames", type=int, default=60)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--initial-threshold", type=int, default=INITIAL_THRESHOLD)
-    p.add_argument("--max-displacement", type=int, default=None)
-    p.add_argument("--ratio-threshold", type=float, default=None)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("tracks", help="track statistics of an .ofv stream")
-    p.add_argument("--ofv", required=True)
-    p.add_argument("--max-gap", type=int, default=REDETECT_MAX_GAP)
-    p.add_argument("--radius", type=int, default=REDETECT_RADIUS)
+    p = sub.add_parser("tracks", parents=[stream], help="track statistics of an .ofv stream")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tracks)
 
-    p = sub.add_parser("report", help="accuracy report for an .ofv stream")
-    p.add_argument("--ofv", required=True)
+    p = sub.add_parser("report", parents=[stream], help="accuracy report for an .ofv stream")
     p.add_argument("--gt", required=True, help="ground-truth CSV")
-    p.add_argument("--max-gap", type=int, default=REDETECT_MAX_GAP)
-    p.add_argument("--radius", type=int, default=REDETECT_RADIUS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
 

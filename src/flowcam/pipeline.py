@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import BoundsError, ConfigError, RangeError
 from .feature_engine import (
     DetectorState,
@@ -39,15 +41,10 @@ from .sensor_frontend import (
     crop,
     downscale_for_of,
     max_frame_rate,
+    of_scale,
     subsample,
 )
-from .track_analyzer import (
-    analyze,
-    track_stats,
-    write_frame_report_csv,
-    write_ground_truth_csv,
-    write_summary_csv,
-)
+from .track_analyzer import analyze, write_analysis, write_ground_truth_csv
 from .wire_format import encode, write_ofv
 
 INITIAL_THRESHOLD = 20
@@ -101,30 +98,44 @@ DEFAULT_OMEGA_DEG_FRAME = 2.0
 DEFAULT_ZOOM_RATE_FRAME = 1.002
 
 
+STAGES = ("frontend", "detect", "describe", "match", "encode")
+
+# One row per frame: the ns spent in each stage, the controller threshold the
+# frame was detected under, the post-cap descriptor count the controller
+# consumed, and the flow vectors emitted (0 for frame 0).
+PER_FRAME = np.dtype(
+    [(f"{stage}_ns", np.int64) for stage in STAGES]
+    + [("threshold", np.int64), ("produced", np.int64), ("emitted", np.int64)]
+)
+
+
 @dataclass
 class RunReport:
-    """Timing and outcome summary of one pipeline run."""
+    """Per-frame record and outcome summary of one pipeline run."""
 
-    n_frames: int
-    stage_us: dict[str, float]  # mean microseconds per frame, per stage
-    throughput_fps: float
+    per_frame: np.ndarray  # PER_FRAME rows, one per frame
     of_width: int
     of_height: int
     of_scale: int
-    vectors_per_frame: list[int]
-    produced_per_frame: list[int]
-    thresholds: list[int]
     payloads: list[bytes]  # per-frame wire payloads, written to the .ofv as is
     summary: dict = field(default_factory=dict)
     hw_reference: float | None = None
     hw_model_fps: float | None = None
-    ofv_path: Path | None = None
-    frames_csv: Path | None = None
-    summary_csv: Path | None = None
 
-    def __post_init__(self) -> None:
-        if any(v < 0 for v in self.stage_us.values()) or self.throughput_fps < 0:
-            raise RangeError("timings must be non-negative")
+    @property
+    def n_frames(self) -> int:
+        return len(self.per_frame)
+
+    @property
+    def stage_us(self) -> dict[str, float]:
+        """Mean microseconds per frame, per stage."""
+        n = self.n_frames
+        return {s: int(self.per_frame[f"{s}_ns"].sum()) / n / 1000.0 for s in STAGES}
+
+    @property
+    def throughput_fps(self) -> float:
+        total_s = sum(int(self.per_frame[f"{s}_ns"].sum()) for s in STAGES) / 1e9
+        return self.n_frames / total_s if total_s > 0 else 0.0
 
     @property
     def total_us_per_frame(self) -> float:
@@ -167,12 +178,6 @@ def frontend_apply(frame: Frame, config: SensorConfig) -> Frame:
     return result
 
 
-def of_scale_for(config: SensorConfig) -> int:
-    """Down-scale factor the OF unit applies to this configuration's frames."""
-    w, h = config.out_width, config.out_height
-    return 2 if (max(w, h) > 640 or min(w, h) > 480) else 1
-
-
 def run_pipeline(
     config: SensorConfig,
     frames: list[Frame],
@@ -181,8 +186,8 @@ def run_pipeline(
     """Run the full per-frame pipeline over a frame sequence.
 
     Returns the flow vectors per frame (entry t holds vectors from frame t-1
-    to t; entry 0 is empty) and a report with per-stage timings and each
-    frame's encoded payload. The controller consumes the post-cap
+    to t; entry 0 is empty) and a report with one `PER_FRAME` row and the
+    encoded payload of each frame. The controller consumes the post-cap
     descriptor count and updates once per frame; frame 0 only seeds
     features.
     """
@@ -191,16 +196,13 @@ def run_pipeline(
     state = DetectorState(
         initial_threshold, config.brief_target, config.brief_max, config.tile_budget
     )
-    stage_ns = {"frontend": 0, "detect": 0, "describe": 0, "match": 0, "encode": 0}
+    per_frame = np.zeros(len(frames), PER_FRAME)
     per_frame_vectors: list[VectorBatch] = []
-    vectors_per_frame: list[int] = []
-    produced_per_frame: list[int] = []
-    thresholds: list[int] = []
     payloads: list[bytes] = []
     prev_features = None
     of_size = None
 
-    for frame in frames:
+    for t, frame in enumerate(frames):
         t0 = time.perf_counter_ns()
         recorded = frontend_apply(frame, config)
         of_frame, scale = downscale_for_of(recorded)
@@ -219,32 +221,18 @@ def run_pipeline(
         payloads.append(encode(vectors))
         t5 = time.perf_counter_ns()
 
-        stage_ns["frontend"] += t1 - t0
-        stage_ns["detect"] += t2 - t1
-        stage_ns["describe"] += t3 - t2
-        stage_ns["match"] += t4 - t3
-        stage_ns["encode"] += t5 - t4
-
-        thresholds.append(state.threshold)
+        per_frame[t] = (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4,
+                        state.threshold, produced, len(vectors))
         state = update_threshold(state, produced)
-        produced_per_frame.append(produced)
-        vectors_per_frame.append(len(vectors))
         per_frame_vectors.append(vectors)
         prev_features = features
         of_size = (of_frame.width, of_frame.height, scale)
 
-    n = len(frames)
-    total_s = sum(stage_ns.values()) / 1e9
     report = RunReport(
-        n_frames=n,
-        stage_us={k: v / n / 1000.0 for k, v in stage_ns.items()},
-        throughput_fps=n / total_s if total_s > 0 else 0.0,
+        per_frame=per_frame,
         of_width=of_size[0],
         of_height=of_size[1],
         of_scale=of_size[2],
-        vectors_per_frame=vectors_per_frame,
-        produced_per_frame=produced_per_frame,
-        thresholds=thresholds,
         payloads=payloads,
     )
     return per_frame_vectors, report
@@ -309,9 +297,8 @@ def synthesize_sequence(
     frames = render_camera_sequence(
         texture, motion, n_frames, viewport,
         fov=fov, window_origin=origin, stride=stride,
-        frame_rate=config.frame_rate,
     )
-    of_units = stride * of_scale_for(config)
+    of_units = stride * of_scale(config.out_width, config.out_height)
     gt_fov = mean_ground_truth_flow(motion)
     gt = [(0.0, 0.0)]
     gt += [(gt_fov[0] / of_units, gt_fov[1] / of_units)] * (n_frames - 1)
@@ -360,31 +347,20 @@ def finalize_report(
     out_dir: str | Path | None,
     name: str = "run",
 ) -> None:
-    """Attach accuracy/track summaries to a report and write output files.
+    """Attach the analysis summary to a report and write output files.
 
-    The .ofv stream holds the payloads `run_pipeline` encoded into `report`.
+    Writes `<name>.ofv`, the analysis CSVs and, with ground truth,
+    `<name>_gt.csv`. The .ofv stream holds the payloads `run_pipeline`
+    encoded into `report`.
     """
     analysis = analyze(per_frame_vectors, ground_truth)
-    accuracy = analysis.accuracy
-    report.summary.update(track_stats(analysis.tracks))
-    if accuracy is not None:
-        report.summary.update(
-            rmse_x=accuracy.rmse_x,
-            rmse_y=accuracy.rmse_y,
-            final_rel_err=accuracy.final_rel_err,
-            no_data_frames=len(accuracy.no_data_frames),
-        )
+    report.summary.update(analysis.summary)
     if out_dir is None:
         return
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report.ofv_path = out_dir / f"{name}.ofv"
-    write_ofv(report.ofv_path, report.of_width, report.of_height, report.payloads)
-    report.summary_csv = out_dir / f"{name}_summary.csv"
-    write_summary_csv(report.summary_csv, accuracy, analysis.tracks)
-    if accuracy is not None:
-        report.frames_csv = out_dir / f"{name}_frames.csv"
-        write_frame_report_csv(report.frames_csv, analysis.estimates, ground_truth, accuracy)
+    write_analysis(analysis, ground_truth, out_dir, name)
+    write_ofv(out_dir / f"{name}.ofv", report.of_width, report.of_height, report.payloads)
+    if ground_truth is not None:
         write_ground_truth_csv(out_dir / f"{name}_gt.csv", ground_truth)
 
 

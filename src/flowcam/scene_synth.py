@@ -234,7 +234,6 @@ def render_camera_sequence(
     fov: tuple[int, int] | None = None,
     window_origin: tuple[int, int] = (0, 0),
     stride: int = 1,
-    frame_rate: float = 0.0,
 ) -> list[Frame]:
     """Render what a sensor window sees of a moving scene.
 
@@ -266,16 +265,15 @@ def render_camera_sequence(
     cols = base_off_x + ox + stride * np.arange(vw, dtype=np.float64)[None, :]
     rows = base_off_y + oy + stride * np.arange(vh, dtype=np.float64)[:, None]
 
-    dt = 1.0 / frame_rate if frame_rate > 0 else 0.0
     if motion.kind == "still":
         pixels = _bilinear(tex, cols, rows, 0)
         pixels.flags.writeable = False
-        return [Frame(vw, vh, pixels, index=t, timestamp=t * dt) for t in range(n_frames)]
+        return [Frame(vw, vh, pixels) for _ in range(n_frames)]
     frames = []
     for t in range(n_frames):
         sx, sy = _sample_coords(motion, t, cols, rows, center_tex)
         pixels = _bilinear(tex, sx, sy, t)
-        frames.append(Frame(vw, vh, pixels, index=t, timestamp=t * dt))
+        frames.append(Frame(vw, vh, pixels))
     return frames
 
 
@@ -351,7 +349,7 @@ def load_sequence(directory: str | Path) -> list[Frame]:
     paths = sorted(directory.glob("frame_*.pgm"))
     if not paths:
         raise FrameSizeError(f"no frame_*.pgm files in {directory}")
-    return [read_pgm(path, index=i) for i, path in enumerate(paths)]
+    return [read_pgm(path) for path in paths]
 
 
 def load_manifest(directory: str | Path) -> dict[str, str]:

@@ -32,13 +32,11 @@ SUBSAMPLE_MODES = ("decimate", "bin")
 
 @dataclass(eq=False)
 class Frame:
-    """Monochrome 8-bit raster with a sequence index and timestamp."""
+    """Monochrome 8-bit raster."""
 
     width: int
     height: int
     pixels: np.ndarray  # shape (height, width), dtype uint8, row-major
-    index: int = 0
-    timestamp: float = 0.0
 
     def __post_init__(self) -> None:
         # Row-major, so every kernel's ravel() is a view; an array that
@@ -49,14 +47,12 @@ class Frame:
                 f"pixel buffer shape {self.pixels.shape} does not match "
                 f"{self.width}x{self.height}"
             )
-        if self.index < 0 or self.timestamp < 0:
-            raise RangeError("frame index and timestamp must be non-negative")
 
     @classmethod
-    def from_array(cls, pixels: np.ndarray, index: int = 0, timestamp: float = 0.0) -> "Frame":
+    def from_array(cls, pixels: np.ndarray) -> "Frame":
         pixels = np.asarray(pixels, dtype=np.uint8)
         h, w = pixels.shape
-        return cls(width=w, height=h, pixels=pixels, index=index, timestamp=timestamp)
+        return cls(width=w, height=h, pixels=pixels)
 
     def pixel(self, x: int, y: int) -> int:
         return int(self.pixels[y, x])
@@ -154,7 +150,7 @@ def crop(frame: Frame, origin: tuple[int, int], size: tuple[int, int]) -> Frame:
     if oy + h > frame.height:
         raise BoundsError(f"crop y extent {oy}+{h} exceeds frame height {frame.height}")
     out = frame.pixels[oy : oy + h, ox : ox + w].copy()
-    return Frame(w, h, out, frame.index, frame.timestamp)
+    return Frame(w, h, out)
 
 
 def _divisibility_crop(frame: Frame, factor: int) -> Frame:
@@ -209,25 +205,34 @@ def subsample(frame: Frame, factor: int, mode: str) -> Frame:
     else:
         out = _bin_blocks(base.pixels, factor)
     h, w = out.shape
-    return Frame(w, h, out, frame.index, frame.timestamp)
+    return Frame(w, h, out)
+
+
+def of_scale(width: int, height: int) -> int:
+    """Down-scale factor the OF unit applies to a width x height frame.
+
+    Frames larger than 640x480 in either orientation get 2 (the hardware
+    bins exactly once); frames within the bound get 1.
+    """
+    within = max(width, height) <= OF_MAX_LONG and min(width, height) <= OF_MAX_SHORT
+    return 1 if within else 2
 
 
 def downscale_for_of(frame: Frame) -> tuple[Frame, int]:
     """Down-scale a frame that exceeds the OF unit's VGA bound.
 
-    Frames larger than 640x480 in either orientation are binned 2x exactly
-    once (the hardware applies a single step) and reported with scale 2;
+    Frames `of_scale` gives 2 are binned 2x and reported with scale 2;
     smaller frames pass through with scale 1. Flow coordinates downstream are
     in the returned frame's system.
     """
     w, h = frame.width, frame.height
-    if max(w, h) <= OF_MAX_LONG and min(w, h) <= OF_MAX_SHORT:
+    if of_scale(w, h) == 1:
         return frame, 1
     even_w, even_h = (w // 2) * 2, (h // 2) * 2
     base = frame if (even_w, even_h) == (w, h) else crop(frame, (0, 0), (even_w, even_h))
     out = _bin_blocks(base.pixels, 2)
     oh, ow = out.shape
-    return Frame(ow, oh, out, frame.index, frame.timestamp), 2
+    return Frame(ow, oh, out), 2
 
 
 def max_frame_rate(frame_height: int, n_vectors: int) -> float:
@@ -275,7 +280,7 @@ def write_pgm(frame: Frame, path: str | Path) -> None:
         f.write(frame.pixels.tobytes())
 
 
-def read_pgm(path: str | Path, index: int = 0, timestamp: float = 0.0) -> Frame:
+def read_pgm(path: str | Path) -> Frame:
     data = Path(path).read_bytes()
     if not data.startswith(b"P5"):
         raise ConfigError(f"{path}: not a binary PGM (P5) file")
@@ -304,7 +309,7 @@ def read_pgm(path: str | Path, index: int = 0, timestamp: float = 0.0) -> Frame:
     if len(raster) != width * height:
         raise ConfigError(f"{path}: truncated raster")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
-    return Frame(width, height, pixels, index, timestamp)
+    return Frame(width, height, pixels)
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,9 @@ class Analysis:
     estimates: list[tuple[float, float] | None]  # per-frame mean flow
     accuracy: AccuracyReport | None  # None without ground truth
     tracks: TrackSet  # linked, then re-detected across short gaps
+    # `track_stats`, plus rmse_x, rmse_y, final_rel_err and no_data_frames
+    # (a count) with ground truth
+    summary: dict
 
 
 def analyze(
@@ -385,11 +388,20 @@ def analyze(
     max_gap: int = REDETECT_MAX_GAP,
     radius: int = REDETECT_RADIUS,
 ) -> Analysis:
-    """Mean flow, accuracy against ground truth when given, and tracks."""
+    """Mean flow, accuracy against ground truth when given, tracks and their
+    one summary."""
     estimates = [mean_flow(v) for v in per_frame_vectors]
     accuracy = None if ground_truth is None else accuracy_metrics(estimates, ground_truth)
     tracks = redetect(link_tracks(per_frame_vectors), max_gap, radius)
-    return Analysis(estimates, accuracy, tracks)
+    summary = track_stats(tracks)
+    if accuracy is not None:
+        summary.update(
+            rmse_x=accuracy.rmse_x,
+            rmse_y=accuracy.rmse_y,
+            final_rel_err=accuracy.final_rel_err,
+            no_data_frames=len(accuracy.no_data_frames),
+        )
+    return Analysis(estimates, accuracy, tracks, summary)
 
 
 def track_stats(tracks: TrackSet) -> dict:
@@ -469,23 +481,30 @@ def write_frame_report_csv(
             )
 
 
-def write_summary_csv(
-    path: str | Path, report: AccuracyReport | None, tracks: TrackSet
-) -> None:
-    stats = track_stats(tracks)
+def write_summary_csv(path: str | Path, summary: dict) -> None:
+    """One-row summary of an `Analysis`; accuracy columns it lacks read n/a."""
+    accuracy = [summary.get(key) for key in ("rmse_x", "rmse_y", "final_rel_err")]
+    track_keys = ["n_tracks", "max_track_len", "p50_track_len", "redetected_count"]
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(
-            ["rmse_x", "rmse_y", "final_rel_err", "n_tracks", "max_track_len",
-             "p50_track_len", "redetected_count"]
-        )
-        if report is None:
-            rmse_x = rmse_y = rel = "n/a"
-        else:
-            rmse_x = f"{report.rmse_x:.6f}"
-            rmse_y = f"{report.rmse_y:.6f}"
-            rel = "n/a" if report.final_rel_err is None else f"{report.final_rel_err:.6f}"
-        writer.writerow(
-            [rmse_x, rmse_y, rel, stats["n_tracks"], stats["max_track_len"],
-             stats["p50_track_len"], stats["redetected_count"]]
-        )
+        writer.writerow(["rmse_x", "rmse_y", "final_rel_err"] + track_keys)
+        writer.writerow(["n/a" if value is None else f"{value:.6f}" for value in accuracy]
+                        + [summary[key] for key in track_keys])
+
+
+def write_analysis(
+    analysis: Analysis,
+    ground_truth: list[tuple[float, float]] | None,
+    out_dir: str | Path,
+    prefix: str,
+) -> None:
+    """Write `<prefix>_summary.csv` and, with ground truth, `<prefix>_frames.csv`.
+
+    `ground_truth` is the series `analysis` was computed against, or None.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_summary_csv(out_dir / f"{prefix}_summary.csv", analysis.summary)
+    if analysis.accuracy is not None:
+        write_frame_report_csv(out_dir / f"{prefix}_frames.csv", analysis.estimates,
+                               ground_truth, analysis.accuracy)

@@ -291,7 +291,7 @@ def _motion_grid_reference(motion, t, base_x, base_y, center_tex):
 
 
 def render_reference(texture, motion, n_frames, viewport, *, fov=None,
-                     window_origin=(0, 0), stride=1, frame_rate=0.0):
+                     window_origin=(0, 0), stride=1):
     """`render_camera_sequence` as a meshgrid of frame-0 coordinates that
     every frame, still ones included, maps and samples in full."""
     if n_frames <= 0:
@@ -311,10 +311,9 @@ def render_reference(texture, motion, n_frames, viewport, *, fov=None,
     cols = base_off_x + ox + stride * np.arange(vw, dtype=np.float64)
     rows = base_off_y + oy + stride * np.arange(vh, dtype=np.float64)
     base_x, base_y = np.meshgrid(cols, rows)
-    dt = 1.0 / frame_rate if frame_rate > 0 else 0.0
     frames = []
     for t in range(n_frames):
         sx, sy = _motion_grid_reference(motion, t, base_x, base_y, center_tex)
         pixels = _bilinear_reference(texture.pixels, sx, sy, t)
-        frames.append(Frame(vw, vh, pixels, index=t, timestamp=t * dt))
+        frames.append(Frame(vw, vh, pixels))
     return frames

@@ -17,14 +17,13 @@ from flowcam.matcher import match_features
 from flowcam.pipeline import (
     PARAMETER_SETS,
     hardware_reference,
-    of_scale_for,
     run_parameter_set,
     run_pipeline,
     synthesize_sequence,
     throughput_report,
 )
 from flowcam.scene_synth import MotionSpec, TextureSpec, generate_texture, render_sequence
-from flowcam.sensor_frontend import SensorConfig, max_frame_rate
+from flowcam.sensor_frontend import SensorConfig, max_frame_rate, of_scale
 from flowcam.track_analyzer import link_tracks, mean_flow, redetect, track_stats, traveled_distance
 from flowcam.wire_format import LINE_BYTES, decode, encode
 from flowcam.matcher import VectorBatch
@@ -45,7 +44,7 @@ def translation_rel_error(set_id, seed, speed_px_s, n_frames):
         speed_px_s=speed_px_s,
     )
     flows = [mean_flow(v) for v in vectors]
-    per_frame = speed_px_s / cfg.frame_rate / (cfg.subsample_factor * of_scale_for(cfg))
+    per_frame = speed_px_s / cfg.frame_rate / (cfg.subsample_factor * of_scale(cfg.out_width, cfg.out_height))
     gt_total = per_frame * (n_frames - 1)
     est_total = traveled_distance(flows)[-1]
     return flows, abs(est_total - gt_total) / gt_total
@@ -122,8 +121,8 @@ def test_criterion_05_rotation_failure():
         vectors, report = run_parameter_set(
             6, "rotate", 0.0, n_frames=40, seed=1, omega_deg_frame=omega,
         )
-        emitted = sum(report.vectors_per_frame[1:])
-        prev_features = sum(report.produced_per_frame[:-1])
+        emitted = report.per_frame["emitted"][1:].sum()
+        prev_features = report.per_frame["produced"][:-1].sum()
         rates[omega] = emitted / prev_features
     ok = rates[20.0] < 0.5 * rates[2.0]
     report_line(
@@ -157,7 +156,7 @@ def test_criterion_07_controller_convergence():
     )
     supported = len(at_one) >= 2 * config.brief_target
     _, report = run_pipeline(config, frames, initial_threshold=20)
-    produced = np.array(report.produced_per_frame)
+    produced = report.per_frame["produced"]
     in_band = np.abs(produced[20:61] - 512) <= 0.1 * 512
     ok = supported and bool(in_band.all())
     report_line(

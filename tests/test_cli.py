@@ -193,6 +193,13 @@ class TestTypedInputErrors:
         err = self.run_main(capsys, *args, "--frames", 2, "--out", tmp_path / "o")
         assert err.startswith(f"flowcam {args[0]}: ") and "finite" in err
 
+    @pytest.mark.parametrize("rate", ["nan", "0", "-5"])
+    def test_bad_gen_frame_rate(self, capsys, tmp_path, rate):
+        err = self.run_main(capsys, "gen", "--out", tmp_path / "seq", "--frames", 2,
+                            "--frame-rate", rate)
+        assert err.startswith("flowcam gen: frame_rate must be positive and finite")
+        assert not (tmp_path / "seq").exists()
+
     def test_empty_pgm_frame(self, capsys, tmp_path):
         seq = tmp_path / "seq"
         seq.mkdir()

@@ -4,11 +4,14 @@
 matcher. It reads `run_pipeline`'s per-frame batches and `match_features`'
 feature sets through `len`, iteration and record attributes, and
 `perfbench/run.py` compares repeated runs with `!=` and times frames as
-`run_pipeline` pulls them from its list. The checks module is loaded here
-read-only from its path, so a change to the batch types fails these tests
-rather than the benchmark.
+`run_pipeline` pulls them from its list. It also requires the run's
+summary and frame CSVs to equal those of the `flowcam report` replay, byte
+for byte, and the report's track keys to equal the CSV row. The checks
+module is loaded here read-only from its path, so a change to the batch
+types fails these tests rather than the benchmark.
 """
 
+import csv
 import types
 from pathlib import Path
 
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 import flowcam.pipeline as pipeline
+from flowcam.cli import main
 from flowcam.matcher import VectorBatch
 from flowcam.pipeline import PARAMETER_SETS, finalize_report, run_pipeline, synthesize_sequence
 
@@ -68,7 +72,7 @@ def traced_run(scenario, n_frames, out_dir):
     finalize_report(vectors, report, gt, out_dir, name="run")
     stream = (out_dir / "run.ofv").read_bytes()
     return dict(vectors=vectors, again=again, report=report, stream=stream,
-                calls=calls, events=events)
+                calls=calls, events=events, out_dir=out_dir)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +83,25 @@ def translate(tmp_path_factory):
 @pytest.fixture(scope="module")
 def still(tmp_path_factory):
     return traced_run("still", 3, tmp_path_factory.mktemp("still"))
+
+
+@pytest.fixture(scope="module")
+def replayed(translate, tmp_path_factory):
+    """`flowcam report` and `flowcam tracks` on the translate run's stream,
+    each into its own directory, as perfbench replays it."""
+    run_dir = translate["out_dir"]
+    report_dir = tmp_path_factory.mktemp("report")
+    tracks_dir = tmp_path_factory.mktemp("tracks")
+    assert main(["report", "--ofv", str(run_dir / "run.ofv"),
+                 "--gt", str(run_dir / "run_gt.csv"), "--out", str(report_dir)]) == 0
+    assert main(["tracks", "--ofv", str(run_dir / "run.ofv"),
+                 "--out", str(tracks_dir)]) == 0
+    return run_dir, report_dir, tracks_dir
+
+
+def summary_row(path):
+    with open(path, newline="", encoding="utf-8") as f:
+        return next(csv.DictReader(f))
 
 
 def of_size(run):
@@ -134,3 +157,37 @@ def test_frames_are_pulled_one_at_a_time(translate):
     for i in range(1, n):
         expected += [("frame", i), ("match", i)]
     assert events == expected
+
+
+TRACK_KEYS = ("n_tracks", "max_track_len", "p50_track_len", "redetected_count")
+
+
+def test_output_directories_hold_the_known_files(replayed):
+    run_dir, report_dir, tracks_dir = replayed
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "run.ofv", "run_frames.csv", "run_gt.csv", "run_summary.csv"]
+    assert sorted(p.name for p in report_dir.iterdir()) == [
+        "report_frames.csv", "report_summary.csv"]
+    assert [p.name for p in tracks_dir.iterdir()] == ["tracks_summary.csv"]
+
+
+def test_replay_reports_equal_the_run_reports(replayed):
+    run_dir, report_dir, _ = replayed
+    for kind in ("summary", "frames"):
+        assert ((run_dir / f"run_{kind}.csv").read_bytes()
+                == (report_dir / f"report_{kind}.csv").read_bytes())
+
+
+def test_run_summary_equals_the_replay_row(translate, replayed):
+    row = summary_row(replayed[1] / "report_summary.csv")
+    summary = translate["report"].summary
+    for key in TRACK_KEYS:
+        assert float(row[key]) == float(summary[key])
+
+
+def test_tracks_summary_has_the_run_tracks(replayed):
+    run_dir, _, tracks_dir = replayed
+    run_row = summary_row(run_dir / "run_summary.csv")
+    row = summary_row(tracks_dir / "tracks_summary.csv")
+    assert [row[key] for key in TRACK_KEYS] == [run_row[key] for key in TRACK_KEYS]
+    assert [row[key] for key in ("rmse_x", "rmse_y", "final_rel_err")] == ["n/a"] * 3

@@ -2,19 +2,27 @@ import numpy as np
 import pytest
 
 from flowcam.errors import ConfigError, RangeError
+from flowcam.feature_engine import DetectorState, update_threshold
 from flowcam.pipeline import (
     PARAMETER_SETS,
+    STAGES,
     finalize_report,
     frontend_apply,
     hardware_reference,
-    of_scale_for,
     run_parameter_set,
     run_pipeline,
     synthesize_sequence,
     throughput_report,
 )
 from flowcam.scene_synth import MotionSpec, TextureSpec, generate_texture, render_sequence
-from flowcam.sensor_frontend import Frame, SensorConfig, load_config, save_config
+from flowcam.sensor_frontend import (
+    Frame,
+    SensorConfig,
+    downscale_for_of,
+    load_config,
+    of_scale,
+    save_config,
+)
 from flowcam.wire_format import encode, read_ofv
 
 
@@ -104,7 +112,15 @@ class TestOfScale:
         "sid,scale", [(1, 2), (2, 2), (3, 1), (4, 2), (5, 2), (6, 1), (7, 1)]
     )
     def test_catalog_scales(self, sid, scale):
-        assert of_scale_for(PARAMETER_SETS[sid]) == scale
+        cfg = PARAMETER_SETS[sid]
+        assert of_scale(cfg.out_width, cfg.out_height) == scale
+
+    @pytest.mark.parametrize(
+        "w,h,scale", [(640, 480, 1), (641, 480, 2), (480, 640, 1), (640, 481, 2)]
+    )
+    def test_vga_bound_matches_downscale(self, w, h, scale):
+        _, applied = downscale_for_of(Frame.from_array(np.zeros((h, w), dtype=np.uint8)))
+        assert of_scale(w, h) == applied == scale
 
 
 class TestRunPipeline:
@@ -123,8 +139,23 @@ class TestRunPipeline:
     def test_vector_count_never_exceeds_cap(self):
         cfg = small_config(brief_max=32, brief_target=16)
         vectors, report = run_pipeline(cfg, still_frames(5))
-        assert all(n <= cfg.brief_max for n in report.vectors_per_frame)
-        assert all(n <= cfg.brief_max for n in report.produced_per_frame)
+        assert (report.per_frame["emitted"] <= cfg.brief_max).all()
+        assert (report.per_frame["produced"] <= cfg.brief_max).all()
+
+    def test_per_frame_record(self):
+        # a target below what the scene offers moves the threshold
+        cfg = small_config(brief_max=32, brief_target=16)
+        vectors, report = run_pipeline(cfg, still_frames(6), initial_threshold=11)
+        rows = report.per_frame
+        assert report.n_frames == len(rows) == 6
+        assert rows["emitted"].tolist() == [len(v) for v in vectors]
+        assert (rows["produced"] <= cfg.brief_max).all()
+        assert rows["threshold"][0] == 11
+        for prev, row in zip(rows[:-1], rows[1:]):
+            state = DetectorState(int(prev["threshold"]), cfg.brief_target,
+                                  cfg.brief_max, cfg.tile_budget)
+            assert row["threshold"] == update_threshold(state, int(prev["produced"])).threshold
+        assert len(set(rows["threshold"].tolist())) > 1
 
     def test_determinism(self):
         cfg = small_config()
@@ -146,13 +177,16 @@ class TestRunPipeline:
         assert set(report.stage_us) == {"frontend", "detect", "describe", "match", "encode"}
         assert all(v >= 0 for v in report.stage_us.values())
         assert report.throughput_fps > 0
+        total_ns = sum(int(report.per_frame[f"{s}_ns"].sum()) for s in STAGES)
+        assert report.throughput_fps == pytest.approx(3 / (total_ns / 1e9))
+        assert report.total_us_per_frame == pytest.approx(total_ns / 3 / 1000)
 
     def test_set6_still_converges_to_target(self):
         # 240-frame standstill run: the vector count settles within 10 percent
         # of the 384-descriptor target.
         vectors, report = run_parameter_set(6, "still", 1.0, seed=3)
         assert report.n_frames == 240
-        counts = np.array(report.vectors_per_frame[20:])
+        counts = report.per_frame["emitted"][20:]
         assert np.all(np.abs(counts - 384) <= 0.1 * 384)
 
     def test_set3_translation_tracks_ground_truth(self):

@@ -21,9 +21,8 @@ from flowcam.track_analyzer import (
     redetect,
     track_stats,
     traveled_distance,
-    write_frame_report_csv,
+    write_analysis,
     write_ground_truth_csv,
-    write_summary_csv,
 )
 from oracles import (
     link_tracks_reference,
@@ -331,9 +330,15 @@ class TestAnalyze:
         assert result.estimates == est
         assert result.accuracy == accuracy_metrics(est, gt)
         assert result.tracks == redetect(link_tracks(per_frame), 2, 1)
+        assert result.summary == dict(
+            track_stats(result.tracks), rmse_x=result.accuracy.rmse_x,
+            rmse_y=result.accuracy.rmse_y, final_rel_err=result.accuracy.final_rel_err,
+            no_data_frames=len(result.accuracy.no_data_frames))
 
     def test_without_ground_truth(self):
-        assert analyze(batches([[], [vec(5, 5)]])).accuracy is None
+        result = analyze(batches([[], [vec(5, 5)]]))
+        assert result.accuracy is None
+        assert result.summary == track_stats(result.tracks)
 
     def test_tracks_match_references_on_short_runs(self, seed0_vectors):
         tracks = analyze(seed0_vectors).tracks
@@ -464,19 +469,23 @@ class TestCsvInterfaces:
             pass
 
     def test_report_files(self, tmp_path):
-        est = [(1.0, 0.0), None, (0.5, 0.5)]
+        per_frame = batches([[], [vec(5, 5)], [vec(6, 5)]])
         gt = [(1.0, 0.0)] * 3
-        report = accuracy_metrics(est, gt)
-        tracks = link_tracks(batches([[], [vec(5, 5)], [vec(6, 5)]]))
-        frame_csv = tmp_path / "frames.csv"
-        summary_csv = tmp_path / "summary.csv"
-        write_frame_report_csv(frame_csv, est, gt, report)
-        write_summary_csv(summary_csv, report, tracks)
-        lines = frame_csv.read_text().strip().splitlines()
+        write_analysis(analyze(per_frame, gt), gt, tmp_path / "gt", "a")
+        assert sorted(p.name for p in (tmp_path / "gt").iterdir()) == [
+            "a_frames.csv", "a_summary.csv"]
+        lines = (tmp_path / "gt" / "a_frames.csv").read_text().strip().splitlines()
         assert len(lines) == 4
-        assert lines[2].split(",")[1] == ""  # no-data frame leaves est blank
-        header, row = summary_csv.read_text().strip().splitlines()
+        assert lines[1].split(",")[1] == ""  # no-data frame leaves est blank
+        header, row = (tmp_path / "gt" / "a_summary.csv").read_text().strip().splitlines()
         assert header.startswith("rmse_x")
-        stats = track_stats(tracks)
+        stats = track_stats(redetect(link_tracks(per_frame), REDETECT_MAX_GAP,
+                                     REDETECT_RADIUS))
         assert stats["n_tracks"] == 1
         assert stats["max_track_len"] == 3
+        assert row.split(",")[3:] == [str(v) for v in stats.values()]
+
+        write_analysis(analyze(per_frame), None, tmp_path / "none", "b")
+        assert [p.name for p in (tmp_path / "none").iterdir()] == ["b_summary.csv"]
+        _, row = (tmp_path / "none" / "b_summary.csv").read_text().strip().splitlines()
+        assert row.split(",")[:3] == ["n/a"] * 3
