@@ -6,13 +6,14 @@ spreads features across the frame, a global cap that drops features bottom
 first, an intensity-centroid orientation estimate, and a 256-bit binary
 descriptor sampled on a fixed point-pair pattern rotated in 12-degree steps.
 
-The per-frame kernels index the row-major pixel buffer `frame.pixels.ravel()`
-directly: a pixel at offset (dx, dy) from position `i` is `flat[i + dy*W + dx]`
-for frame width W. The FAST circle, the orientation disc and the 30 rotated
-BRIEF pair tables are turned into such flat offsets once per call, so each
-gathers with one fancy index instead of separate row and column arrays.
-Corners keep the 15-pixel border margin, so no offset leaves the frame or
-wraps into a neighbouring row.
+Detection indexes the row-major pixel buffer `frame.pixels.ravel()` directly:
+a pixel at offset (dx, dy) from position `i` is `flat[i + dy*W + dx]` for
+frame width W, so the FAST circle and the NMS neighbourhood are flat offsets.
+Description reads each selected corner's 31x31 patch once, as one row of an
+(n, 961) block cut from a sliding-window view of the frame; the orientation
+disc and the 30 rotated BRIEF pair tables are patch-local indices
+`(dy + 15) * 31 + (dx + 15)` into those rows, built once at import. Corners
+keep the 15-pixel border margin, so every patch lies inside the frame.
 """
 
 from __future__ import annotations
@@ -124,22 +125,10 @@ def detect_fast(frame: Frame, threshold: int) -> np.ndarray:
         raise RangeError(f"threshold must be in [1, 255], got {threshold}")
 
     flat = frame.pixels.ravel()
-    img = frame.pixels.astype(np.int16)
-    h, w = img.shape
+    h, w = frame.pixels.shape
     m = BORDER_MARGIN
-    center = img[m : h - m, m : w - m]
-
-    # Cheap candidate filter: any 9-run of the circle covers at least two of
-    # the four compass points, so fewer than two rules the pixel out.
-    bright_compass = np.zeros(center.shape, dtype=np.uint8)
-    dark_compass = np.zeros(center.shape, dtype=np.uint8)
-    for k in _COMPASS:
-        dx, dy = _CIRCLE[k]
-        ring = img[m + dy : h - m + dy, m + dx : w - m + dx]
-        bright_compass += ring > center + threshold
-        dark_compass += ring < center - threshold
     candidate = np.zeros((h, w), dtype=bool)
-    np.logical_or(bright_compass >= 2, dark_compass >= 2, out=candidate[m : h - m, m : w - m])
+    _compass_filter(frame.pixels, threshold, out=candidate[m : h - m, m : w - m])
     idx = np.flatnonzero(candidate)  # row-major flat positions, ascending
     if idx.size == 0:
         return np.empty((0, 3), dtype=np.int64)
@@ -155,6 +144,31 @@ def detect_fast(frame: Frame, threshold: int) -> np.ndarray:
     survive = _nms(idx, score, h, w)
     ys, xs = np.divmod(idx[survive], w)
     return np.column_stack((xs, ys, score[survive].astype(np.int64)))
+
+
+def _compass_filter(pixels: np.ndarray, threshold: int, out: np.ndarray) -> None:
+    """Mark in `out` the pixels inside the border margin that pass the
+    cheap candidate filter.
+
+    Any 9-run of the circle covers at least two of the four compass points,
+    so a pixel with fewer than two compass points brighter than
+    center+threshold, and fewer than two darker than center-threshold, is
+    ruled out. The int16 copies live only inside this call.
+    """
+    img = pixels.astype(np.int16)
+    h, w = img.shape
+    m = BORDER_MARGIN
+    center = img[m : h - m, m : w - m]
+    bright_bar = center + threshold
+    dark_bar = center - threshold
+    bright_compass = np.zeros(center.shape, dtype=np.uint8)
+    dark_compass = np.zeros(center.shape, dtype=np.uint8)
+    for k in _COMPASS:
+        dx, dy = _CIRCLE[k]
+        ring = img[m + dy : h - m + dy, m + dx : w - m + dx]
+        bright_compass += ring > bright_bar
+        dark_compass += ring < dark_bar
+    np.logical_or(bright_compass >= 2, dark_compass >= 2, out=out)
 
 
 def _arc_strength(diffs: np.ndarray) -> np.ndarray:
@@ -198,15 +212,24 @@ def enforce_tile_budget(
 
     `corners` are (x, y, score) rows. Score ties go to the smaller row-major
     position. The surviving corners come out in row-major order.
+
+    Each corner is sorted on one int64 key, `tile << 40 | (255 - score) << 32
+    | y << 16 | x`, so x and y must lie in [0, 65536), scores in [0, 255]
+    and tile numbers below 2**23.
     """
     if not 2 <= tile_budget <= 8:
         raise RangeError(f"tile_budget must be in [2, 8], got {tile_budget}")
     if not len(corners):
         return corners
-    xs, ys, ss = corners.T
+    xs, ys, ss = corners.astype(np.int64, copy=False).T
     tiles_x = (frame_width + 15) // 16
     tile_id = (ys // 16) * tiles_x + (xs // 16)
-    order = np.lexsort((xs, ys, -ss, tile_id))
+    if (min(xs.min(), ys.min(), ss.min()) < 0 or max(xs.max(), ys.max()) >= 1 << 16
+            or ss.max() > 255 or tile_id.max() >= 1 << 23):
+        raise RangeError("tile budget needs x and y in [0, 65536), scores in "
+                         "[0, 255] and fewer than 2**23 tiles")
+    position = ys << 16 | xs
+    order = np.argsort(tile_id << 40 | (255 - ss) << 32 | position)
     sorted_tiles = tile_id[order]
     is_start = np.empty(order.size, dtype=bool)
     is_start[0] = True
@@ -214,7 +237,7 @@ def enforce_tile_budget(
     start_pos = np.maximum.accumulate(np.where(is_start, np.arange(order.size), 0))
     rank = np.arange(order.size) - start_pos
     kept = order[rank < tile_budget]
-    return corners[kept[np.lexsort((xs[kept], ys[kept]))]]
+    return corners[kept[np.argsort(position[kept], kind="stable")]]
 
 
 def cap_global(corners: np.ndarray, brief_max: int) -> np.ndarray:
@@ -227,35 +250,46 @@ def cap_global(corners: np.ndarray, brief_max: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Orientation
+# Patches, orientation and descriptors
 # ---------------------------------------------------------------------------
 
-def _disc_offsets(radius: int) -> tuple[np.ndarray, np.ndarray]:
+_PATCH_SIDE = 2 * PATCH_RADIUS + 1
+
+
+def _corner_patches(frame: Frame, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The 31x31 patches centred on the corners as one (n, 961) uint8 block.
+
+    Corners must keep the 15-pixel border margin; a negative window index
+    would wrap silently.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(
+        frame.pixels, (_PATCH_SIDE, _PATCH_SIDE))
+    patches = windows[ys - PATCH_RADIUS, xs - PATCH_RADIUS]
+    return patches.reshape(xs.size, _PATCH_SIDE * _PATCH_SIDE)
+
+
+def _moment_weights(radius: int) -> np.ndarray:
+    """(961, 2) float32 table of dx and dy inside the disc, +0.0 outside."""
     span = np.arange(-radius, radius + 1)
     dx, dy = np.meshgrid(span, span)
     inside = dx * dx + dy * dy <= radius * radius
-    return dx[inside].astype(np.int64), dy[inside].astype(np.int64)
+    return np.stack([np.where(inside, dx, 0).ravel(), np.where(inside, dy, 0).ravel()],
+                    axis=1).astype(np.float32)
 
-_DISC_DX, _DISC_DY = _disc_offsets(PATCH_RADIUS)
-_DISC_XY = np.stack([_DISC_DX, _DISC_DY], axis=1).astype(np.float64)
+_MOMENT_WEIGHTS = _moment_weights(PATCH_RADIUS)
 
 
-def compute_orientations(frame: Frame, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Intensity-centroid orientation for a batch of corners, in [0, 2pi)."""
-    w = frame.width
-    vals = frame.pixels.ravel()[(ys * w + xs)[:, None] + (_DISC_DY * w + _DISC_DX)]
-    # Integer moments below 2.7e6 in magnitude: float64 sums them exactly in
-    # any order, and never to -0.0 (the dx = 0 and dy = 0 terms are +0.0).
-    moments = vals @ _DISC_XY
+def compute_orientations(patches: np.ndarray) -> np.ndarray:
+    """Intensity-centroid orientation of each patch row, in [0, 2pi)."""
+    # Every product and partial sum is an integer of magnitude at most
+    # sum(|dx|) * 255 = 1 154 640 < 2**24, so float32 sums it exactly in any
+    # order. A zero moment is +0.0: the dx = 0 and dy = 0 terms are +0.0.
+    moments = (patches @ _MOMENT_WEIGHTS).astype(np.float64)
     angles = np.arctan2(moments[:, 1], moments[:, 0])
     angles[angles < 0] += 2 * math.pi
     angles[angles >= 2 * math.pi] = 0.0
     return angles
 
-
-# ---------------------------------------------------------------------------
-# Descriptors
-# ---------------------------------------------------------------------------
 
 def _load_pair_table() -> np.ndarray:
     text = resources.files("flowcam").joinpath("data/brief_pairs.txt").read_text("ascii")
@@ -283,20 +317,33 @@ def _rotated_tables(pairs: np.ndarray) -> np.ndarray:
 
 PAIR_TABLE = _load_pair_table()
 _ROTATED = _rotated_tables(PAIR_TABLE)
+# Patch-local indices (dy + 15) * 31 + (dx + 15) per bin, (30, 512): the 256
+# first pair points, then the 256 second ones.
+_PAIR_INDEX = ((_ROTATED[:, :, 1::2] + PATCH_RADIUS) * _PATCH_SIDE
+               + _ROTATED[:, :, 0::2] + PATCH_RADIUS).transpose(0, 2, 1).reshape(
+                   ORIENTATION_BINS, 2 * DESCRIPTOR_BITS)
 
 
-def describe_batch(frame: Frame, xs: np.ndarray, ys: np.ndarray,
-                   orientations: np.ndarray) -> np.ndarray:
-    """Descriptors for a batch of corners as an (n, 32) uint8 array."""
+def describe_batch(patches: np.ndarray, orientations: np.ndarray) -> np.ndarray:
+    """Descriptors of the patch rows as an (n, 32) uint8 array.
+
+    The rows are sorted by orientation bin, and each occupied bin gathers
+    its slice at that bin's pair indices with one `take`.
+    """
     step = 2 * math.pi / ORIENTATION_BINS
     bins = np.floor(orientations / step + 0.5).astype(np.int64) % ORIENTATION_BINS
-    w = frame.width
-    p_offsets = _ROTATED[:, :, 1] * w + _ROTATED[:, :, 0]  # (30, 256)
-    q_offsets = _ROTATED[:, :, 3] * w + _ROTATED[:, :, 2]
-    flat = frame.pixels.ravel()
-    base = (ys * w + xs)[:, None]
-    bits = flat[base + p_offsets[bins]] < flat[base + q_offsets[bins]]
-    return np.packbits(bits, axis=1, bitorder="little")
+    order = np.argsort(bins, kind="stable")
+    counts = np.bincount(bins, minlength=ORIENTATION_BINS)
+    ends = np.cumsum(counts)
+    by_bin = patches[order]
+    bits = np.empty((bins.size, DESCRIPTOR_BITS), dtype=bool)
+    for b in np.flatnonzero(counts):
+        lo, hi = ends[b] - counts[b], ends[b]
+        pairs = by_bin[lo:hi].take(_PAIR_INDEX[b], axis=1)
+        np.less(pairs[:, :DESCRIPTOR_BITS], pairs[:, DESCRIPTOR_BITS:], out=bits[lo:hi])
+    desc = np.empty((bins.size, DESCRIPTOR_BITS // 8), dtype=np.uint8)
+    desc[order] = np.packbits(bits, axis=1, bitorder="little")
+    return desc
 
 
 def update_threshold(state: DetectorState, produced_count: int) -> DetectorState:
@@ -324,6 +371,9 @@ def select_corners(frame: Frame, state: DetectorState) -> np.ndarray:
 def describe_corners(frame: Frame, corners: np.ndarray) -> FeatureSet:
     """Description half of the engine: orient and describe selected corners."""
     xs, ys, scores = corners.T
-    orientations = compute_orientations(frame, xs, ys)
-    return FeatureSet(xs, ys, scores, orientations,
-                      describe_batch(frame, xs, ys, orientations))
+    if not len(corners):
+        return FeatureSet(xs, ys, scores, np.empty(0),
+                          np.empty((0, DESCRIPTOR_BITS // 8), dtype=np.uint8))
+    patches = _corner_patches(frame, xs, ys)
+    orientations = compute_orientations(patches)
+    return FeatureSet(xs, ys, scores, orientations, describe_batch(patches, orientations))

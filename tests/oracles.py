@@ -19,6 +19,7 @@ from flowcam.feature_engine import (
     PATCH_RADIUS,
     Feature,
     FeatureSet,
+    _corner_patches,
     compute_orientations,
     describe_batch,
     describe_corners,
@@ -96,7 +97,8 @@ def compute_orientation(frame, corner):
     """Orientation of one corner via the patch intensity centroid."""
     x, y = corner
     _check_margin(frame, x, y)
-    return float(compute_orientations(frame, np.array([x]), np.array([y]))[0])
+    patches = _corner_patches(frame, np.array([x]), np.array([y]))
+    return float(compute_orientations(patches)[0])
 
 
 def describe_brief(frame, corner, orientation):
@@ -108,9 +110,8 @@ def describe_brief(frame, corner, orientation):
     """
     x, y = corner
     _check_margin(frame, x, y)
-    packed = describe_batch(
-        frame, np.array([x]), np.array([y]), np.array([orientation], dtype=np.float64)
-    )
+    packed = describe_batch(_corner_patches(frame, np.array([x]), np.array([y])),
+                            np.array([orientation], dtype=np.float64))
     return packed[0].tobytes()
 
 

@@ -1,10 +1,10 @@
 """Bit-equality oracles for the flat-index hot kernels.
 
 Each reference below is the straightforward formulation the kernel replaced
-(reshape-sum binning, sliding-window arc strength, 2-D-index NMS,
-orientation moments and BRIEF sampling). The production kernels must agree
-with them bit for bit on every input, including the edge cases listed in
-the `@example` decorators and the hand-made frames.
+(reshape-sum binning, sliding-window arc strength, 2-D-index NMS, the
+lexsort tile budget, orientation moments and BRIEF sampling). The production
+kernels must agree with them bit for bit on every input, including the edge
+cases listed in the `@example` decorators and the hand-made frames.
 """
 
 import math
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowcam.errors import RangeError
 from flowcam.feature_engine import (
     BORDER_MARGIN,
     ORIENTATION_BINS,
@@ -21,15 +22,20 @@ from flowcam.feature_engine import (
     _ARC,
     _CIRCLE,
     _COMPASS,
-    _DISC_DX,
-    _DISC_DY,
+    _MOMENT_WEIGHTS,
     _ROTATED,
+    DetectorState,
     _arc_strength,
+    _corner_patches,
     _nms,
     compute_orientations,
     describe_batch,
+    describe_corners,
     detect_fast,
+    enforce_tile_budget,
+    select_corners,
 )
+from flowcam.pipeline import PARAMETER_SETS, frontend_apply, synthesize_sequence
 from flowcam.sensor_frontend import Frame, _bin_blocks, downscale_for_of, subsample
 from oracles import corner_list
 
@@ -63,10 +69,37 @@ def nms_reference(ay, ax, score, h, w):
     return survive
 
 
+def tile_budget_reference(corners, frame_width, tile_budget):
+    if not len(corners):
+        return corners
+    xs, ys, ss = corners.T
+    tiles_x = (frame_width + 15) // 16
+    tile_id = (ys // 16) * tiles_x + (xs // 16)
+    order = np.lexsort((xs, ys, -ss, tile_id))
+    sorted_tiles = tile_id[order]
+    is_start = np.empty(order.size, dtype=bool)
+    is_start[0] = True
+    is_start[1:] = sorted_tiles[1:] != sorted_tiles[:-1]
+    start_pos = np.maximum.accumulate(np.where(is_start, np.arange(order.size), 0))
+    rank = np.arange(order.size) - start_pos
+    kept = order[rank < tile_budget]
+    return corners[kept[np.lexsort((xs[kept], ys[kept]))]]
+
+
+def _disc_offsets(radius):
+    span = np.arange(-radius, radius + 1)
+    dx, dy = np.meshgrid(span, span)
+    inside = dx * dx + dy * dy <= radius * radius
+    return dx[inside].astype(np.int64), dy[inside].astype(np.int64)
+
+
+DISC_DX, DISC_DY = _disc_offsets(PATCH_RADIUS)
+
+
 def orientations_reference(frame, xs, ys):
-    vals = frame.pixels[ys[:, None] + _DISC_DY, xs[:, None] + _DISC_DX].astype(np.int64)
-    m10 = vals @ _DISC_DX
-    m01 = vals @ _DISC_DY
+    vals = frame.pixels[ys[:, None] + DISC_DY, xs[:, None] + DISC_DX].astype(np.int64)
+    m10 = vals @ DISC_DX
+    m01 = vals @ DISC_DY
     angles = np.arctan2(m01.astype(np.float64), m10.astype(np.float64))
     angles[angles < 0] += 2 * math.pi
     angles[angles >= 2 * math.pi] = 0.0
@@ -255,6 +288,48 @@ class TestDetectFast:
         assert all(s == 254 for _, _, s in got)
 
 
+class TestTileBudget:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 200),
+           height=st.integers(1, 200), n=st.integers(0, 300),
+           top=st.integers(0, 255), spread=st.integers(0, 3),
+           budget=st.integers(2, 8))
+    @example(seed=0, width=16, height=16, n=40, top=255, spread=0, budget=2)
+    @example(seed=1, width=200, height=3, n=300, top=0, spread=0, budget=8)
+    def test_matches_lexsort_reference(self, seed, width, height, n, top, spread,
+                                       budget):
+        # Shuffled (not row-major) corners, repeated positions, and scores
+        # from a narrow range so ties inside a tile are common.
+        rng = np.random.default_rng(seed)
+        xs = rng.integers(0, width, size=n)
+        ys = rng.integers(0, height, size=n)
+        ss = rng.integers(max(0, top - spread), top + 1, size=n)
+        corners = np.column_stack((xs, ys, ss)).astype(np.int64).reshape(-1, 3)
+        got = enforce_tile_budget(corners, width, height, budget)
+        np.testing.assert_array_equal(got, tile_budget_reference(corners, width, budget))
+        assert got.shape[1:] == (3,) and got.dtype == np.int64
+
+    @pytest.mark.parametrize("row", [(-1, 0, 5), (0, -1, 5), (1 << 16, 0, 5),
+                                     (0, 1 << 16, 5), (0, 0, -1), (0, 0, 256)])
+    def test_fields_too_wide_for_the_key(self, row):
+        corners = np.array([(3, 4, 9), row], dtype=np.int64)
+        with pytest.raises(RangeError):
+            enforce_tile_budget(corners, 64, 64, 2)
+
+    @pytest.mark.parametrize("width", [16, 32752])
+    def test_widest_fields_fit(self, width):
+        # 4096 tile rows of 2047 tiles stay below 2**23 tile numbers.
+        corners = np.array([(65535, 65535, 255), (65535, 65534, 0), (65534, 65535, 0),
+                            (0, 0, 255), (0, 0, 0), (15, 1, 0)], dtype=np.int64)
+        got = enforce_tile_budget(corners, width, 65536, 2)
+        np.testing.assert_array_equal(got, tile_budget_reference(corners, width, 2))
+
+    def test_too_many_tiles(self):
+        corners = np.array([(65535, 65535, 9)], dtype=np.int64)
+        with pytest.raises(RangeError):
+            enforce_tile_budget(corners, 1 << 30, 65536, 2)
+
+
 def detect_fast_reference(frame, threshold):
     """Detector as built from 2-D gathers, the sliding-window arc strength
     and the padded 2-D NMS map."""
@@ -302,11 +377,12 @@ class TestOrientationAndBrief:
         frame = frame_from(seed, width, height, style)
         rng = np.random.default_rng(seed)
         xs, ys = margin_points(frame, rng, n)
-        got = compute_orientations(frame, xs, ys)
+        patches = _corner_patches(frame, xs, ys)
+        got = compute_orientations(patches)
         ref = orientations_reference(frame, xs, ys)
         assert got.tobytes() == ref.tobytes()
         np.testing.assert_array_equal(
-            describe_batch(frame, xs, ys, got), describe_reference(frame, xs, ys, ref)
+            describe_batch(patches, got), describe_reference(frame, xs, ys, ref)
         )
 
     @pytest.mark.parametrize("width", [31, 32, 57, 64])
@@ -323,7 +399,8 @@ class TestOrientationAndBrief:
         ay = np.repeat(ys, angles.size)
         aa = np.tile(angles, xs.size)
         np.testing.assert_array_equal(
-            describe_batch(frame, ax, ay, aa), describe_reference(frame, ax, ay, aa)
+            describe_batch(_corner_patches(frame, ax, ay), aa),
+            describe_reference(frame, ax, ay, aa),
         )
 
     def test_extreme_moments(self):
@@ -333,5 +410,70 @@ class TestOrientationAndBrief:
             [pixels[:, 16:], pixels[:, :15], pixels[16:, :], pixels[:15, :]][side][...] = 255
             frame = Frame.from_array(pixels)
             xs, ys = np.array([15]), np.array([15])
-            got = compute_orientations(frame, xs, ys)
+            got = compute_orientations(_corner_patches(frame, xs, ys))
             assert got.tobytes() == orientations_reference(frame, xs, ys).tobytes()
+
+    def test_moment_weights_exact_in_float32(self):
+        # The moments are exact in float32 only while every partial sum stays
+        # below 2**24; a wider patch radius would break that.
+        assert (np.abs(_MOMENT_WEIGHTS).sum(axis=0) * 255 < 2**24).all()
+        side = 2 * PATCH_RADIUS + 1
+        dx, dy = np.zeros((side, side)), np.zeros((side, side))
+        dx[DISC_DY + PATCH_RADIUS, DISC_DX + PATCH_RADIUS] = DISC_DX
+        dy[DISC_DY + PATCH_RADIUS, DISC_DX + PATCH_RADIUS] = DISC_DY
+        np.testing.assert_array_equal(_MOMENT_WEIGHTS, np.stack([dx.ravel(), dy.ravel()], 1))
+        assert not np.signbit(_MOMENT_WEIGHTS[_MOMENT_WEIGHTS == 0]).any()
+
+    def test_zero_and_half_plane_moments(self):
+        # A zero patch has +0.0 moments, so its angle is +0.0, not -0.0; each
+        # half-plane gives one exact axis angle.
+        expected = [0.0, math.pi, math.pi / 2, -math.pi / 2 + 2 * math.pi]
+        for side in range(-1, 4):
+            pixels = np.zeros((31, 31), dtype=np.uint8)
+            if side >= 0:
+                [pixels[:, 16:], pixels[:, :15], pixels[16:, :], pixels[:15, :]][side][...] = 255
+            frame = Frame.from_array(pixels)
+            xs, ys = np.array([15]), np.array([15])
+            patches = _corner_patches(frame, xs, ys)
+            moments = patches @ _MOMENT_WEIGHTS
+            got = compute_orientations(patches)
+            assert got.tobytes() == orientations_reference(frame, xs, ys).tobytes()
+            if side < 0:
+                assert not np.signbit(moments).any()
+                assert got.tobytes() == np.array([0.0]).tobytes()
+            else:
+                assert not np.signbit(moments[moments == 0]).any()
+                assert got[0] == expected[side]
+
+    def test_no_corners(self):
+        frame = frame_from(0, 31, 31, "random")
+        features = describe_corners(frame, np.empty((0, 3), dtype=np.int64))
+        assert len(features) == 0
+        assert features.desc.shape == (0, 32) and features.desc.dtype == np.uint8
+        assert features.orientations.shape == (0,)
+        assert features.orientations.dtype == np.float64
+
+
+# (set, scenario, frame, settled threshold) of the three benchmark workloads
+# on seed 0; the set-1 frame occupies all 30 orientation bins.
+WORKLOAD_FRAMES = [(1, "still", 1, 113), (3, "rotate", 1, 2), (6, "translate-hard", 1, 26)]
+
+
+@pytest.mark.parametrize("set_id, scenario, index, threshold", WORKLOAD_FRAMES)
+def test_workload_frames_match_references(set_id, scenario, index, threshold):
+    config = PARAMETER_SETS[set_id]
+    frames, _ = synthesize_sequence(config, scenario, index + 1, seed=0)
+    frame, _ = downscale_for_of(frontend_apply(frames[index], config))
+    state = DetectorState(threshold, config.brief_target, config.brief_max,
+                          config.tile_budget)
+    corners = select_corners(frame, state)
+    xs, ys = corners[:, 0], corners[:, 1]
+    features = describe_corners(frame, corners)
+    ref = orientations_reference(frame, xs, ys)
+    assert features.orientations.tobytes() == ref.tobytes()
+    assert features.desc.tobytes() == describe_reference(frame, xs, ys, ref).tobytes()
+    bins = np.floor(ref / (2 * math.pi / ORIENTATION_BINS) + 0.5).astype(np.int64)
+    occupied = np.unique(bins % ORIENTATION_BINS).size
+    assert len(features) > 150
+    if set_id == 1:
+        assert occupied == ORIENTATION_BINS
