@@ -19,7 +19,6 @@ from .scene_synth import (
     MotionSpec,
     TextureSpec,
     generate_texture,
-    ground_truth_flow,
     render_sequence,
 )
 from .sensor_frontend import (
@@ -31,7 +30,6 @@ from .sensor_frontend import (
     subsample,
 )
 from .track_analyzer import (
-    Track,
     TrackSet,
     accuracy_metrics,
     analyze,
@@ -55,7 +53,6 @@ __all__ = [
     "RunReport",
     "SensorConfig",
     "TextureSpec",
-    "Track",
     "TrackSet",
     "VectorBatch",
     "accuracy_metrics",
@@ -66,7 +63,6 @@ __all__ = [
     "downscale_for_of",
     "encode",
     "generate_texture",
-    "ground_truth_flow",
     "link_tracks",
     "match_features",
     "max_frame_rate",

@@ -141,7 +141,12 @@ def cmd_run(args) -> int:
     else:
         if args.scenario is None:
             raise FlowcamError("one of --seq or --scenario is required")
-        n_frames = args.frames or frames_for_duration(config, args.duration)
+        if args.frames is None:
+            n_frames = frames_for_duration(config, args.duration)
+        elif args.frames >= 1:
+            n_frames = args.frames
+        else:
+            raise RangeError(f"--frames must be at least 1, got {args.frames}")
         frames, gt = synthesize_sequence(
             config, args.scenario, n_frames, seed=args.seed,
             speed_px_s=args.speed, omega_deg_frame=args.omega_deg_frame,

@@ -6,7 +6,7 @@ class FlowcamError(ValueError):
 
 
 class BoundsError(FlowcamError):
-    """A crop or pixel access falls outside the frame."""
+    """A crop falls outside the frame, or a pixel buffer is not 2-D."""
 
 
 class ConfigError(FlowcamError):

@@ -24,7 +24,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import FrameSizeError, RangeError
+from .errors import FrameSizeError, MarginError, RangeError
 from .sensor_frontend import Frame
 
 BORDER_MARGIN = 15
@@ -210,8 +210,9 @@ def enforce_tile_budget(
 ) -> np.ndarray:
     """Keep at most `tile_budget` corners per 16x16 tile, best score first.
 
-    `corners` are (x, y, score) rows. Score ties go to the smaller row-major
-    position. The surviving corners come out in row-major order.
+    `corners` are (x, y, score) rows inside the frame. Score ties go to the
+    smaller row-major position. The surviving corners come out in row-major
+    order.
 
     Each corner is sorted on one int64 key, `tile << 40 | (255 - score) << 32
     | y << 16 | x`, so x and y must lie in [0, 65536), scores in [0, 255]
@@ -224,9 +225,11 @@ def enforce_tile_budget(
     xs, ys, ss = corners.astype(np.int64, copy=False).T
     tiles_x = (frame_width + 15) // 16
     tile_id = (ys // 16) * tiles_x + (xs // 16)
-    if (min(xs.min(), ys.min(), ss.min()) < 0 or max(xs.max(), ys.max()) >= 1 << 16
-            or ss.max() > 255 or tile_id.max() >= 1 << 23):
-        raise RangeError("tile budget needs x and y in [0, 65536), scores in "
+    if (min(xs.min(), ys.min(), ss.min()) < 0 or xs.max() >= min(frame_width, 1 << 16)
+            or ys.max() >= min(frame_height, 1 << 16) or ss.max() > 255
+            or tile_id.max() >= 1 << 23):
+        raise RangeError(f"tile budget needs corners inside the {frame_width}x"
+                         f"{frame_height} frame, x and y in [0, 65536), scores in "
                          "[0, 255] and fewer than 2**23 tiles")
     position = ys << 16 | xs
     order = np.argsort(tile_id << 40 | (255 - ss) << 32 | position)
@@ -259,8 +262,8 @@ _PATCH_SIDE = 2 * PATCH_RADIUS + 1
 def _corner_patches(frame: Frame, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The 31x31 patches centred on the corners as one (n, 961) uint8 block.
 
-    Corners must keep the 15-pixel border margin; a negative window index
-    would wrap silently.
+    Corners must keep the 15-pixel border margin (`describe_corners` checks
+    it); a negative window index would wrap silently.
     """
     windows = np.lib.stride_tricks.sliding_window_view(
         frame.pixels, (_PATCH_SIDE, _PATCH_SIDE))
@@ -369,11 +372,21 @@ def select_corners(frame: Frame, state: DetectorState) -> np.ndarray:
 
 
 def describe_corners(frame: Frame, corners: np.ndarray) -> FeatureSet:
-    """Description half of the engine: orient and describe selected corners."""
+    """Description half of the engine: orient and describe selected corners.
+
+    Every corner must keep the 15-pixel border margin, so that its patch
+    lies inside the frame; `MarginError` names the first one that does not.
+    """
     xs, ys, scores = corners.T
     if not len(corners):
         return FeatureSet(xs, ys, scores, np.empty(0),
                           np.empty((0, DESCRIPTOR_BITS // 8), dtype=np.uint8))
+    r = PATCH_RADIUS
+    outside = (xs < r) | (ys < r) | (xs >= frame.width - r) | (ys >= frame.height - r)
+    if outside.any():
+        x, y = corners[outside.argmax(), :2].tolist()
+        raise MarginError(f"corner ({x}, {y}) closer than {r} px to the border of a "
+                          f"{frame.width}x{frame.height} frame")
     patches = _corner_patches(frame, xs, ys)
     orientations = compute_orientations(patches)
     return FeatureSet(xs, ys, scores, orientations, describe_batch(patches, orientations))

@@ -52,14 +52,6 @@ class FlowVector:
                 f"{self.best_score}/{self.second_score}"
             )
 
-    @property
-    def x_curr(self) -> int:
-        return self.x_prev + self.dx
-
-    @property
-    def y_curr(self) -> int:
-        return self.y_prev + self.dy
-
 
 @dataclass(frozen=True, eq=False)
 class VectorBatch:

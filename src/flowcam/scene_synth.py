@@ -71,7 +71,7 @@ def generate_texture(spec: TextureSpec) -> Frame:
         pixels = _wheel(rng, w, h)
     else:
         pixels = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-    return Frame(w, h, pixels)
+    return Frame(pixels)
 
 
 def _blocks(rng: np.random.Generator, w: int, h: int) -> np.ndarray:
@@ -268,12 +268,11 @@ def render_camera_sequence(
     if motion.kind == "still":
         pixels = _bilinear(tex, cols, rows, 0)
         pixels.flags.writeable = False
-        return [Frame(vw, vh, pixels) for _ in range(n_frames)]
+        return [Frame(pixels) for _ in range(n_frames)]
     frames = []
     for t in range(n_frames):
         sx, sy = _sample_coords(motion, t, cols, rows, center_tex)
-        pixels = _bilinear(tex, sx, sy, t)
-        frames.append(Frame(vw, vh, pixels))
+        frames.append(Frame(_bilinear(tex, sx, sy, t)))
     return frames
 
 
@@ -291,24 +290,6 @@ def render_sequence(
             f"{texture.width}x{texture.height} for {vw}x{vh}"
         )
     return render_camera_sequence(texture, motion, n_frames, viewport)
-
-
-def ground_truth_flow(
-    motion: MotionSpec, point: tuple[float, float], t: int = 0
-) -> tuple[float, float]:
-    """Closed-form displacement of the content at `point`, frame t to t+1."""
-    if motion.kind == "still":
-        return (0.0, 0.0)
-    if motion.kind == "translate":
-        return (float(motion.velocity[0]), float(motion.velocity[1]))
-    if motion.center is None:
-        raise RangeError(f"{motion.kind} motion needs a center")
-    cx, cy = motion.center
-    px, py = point[0] - cx, point[1] - cy
-    if motion.kind == "rotate":
-        c, s = math.cos(motion.omega), math.sin(motion.omega)
-        return (c * px - s * py - px, s * px + c * py - py)
-    return ((motion.rate - 1) * px, (motion.rate - 1) * py)
 
 
 def mean_ground_truth_flow(motion: MotionSpec) -> tuple[float, float]:
@@ -351,12 +332,3 @@ def load_sequence(directory: str | Path) -> list[Frame]:
         raise FrameSizeError(f"no frame_*.pgm files in {directory}")
     return [read_pgm(path) for path in paths]
 
-
-def load_manifest(directory: str | Path) -> dict[str, str]:
-    path = Path(directory) / "manifest.txt"
-    out = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.strip() and "=" in line:
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out

@@ -32,37 +32,24 @@ SUBSAMPLE_MODES = ("decimate", "bin")
 
 @dataclass(eq=False)
 class Frame:
-    """Monochrome 8-bit raster."""
+    """Monochrome 8-bit raster; its size is the shape of `pixels`."""
 
-    width: int
-    height: int
     pixels: np.ndarray  # shape (height, width), dtype uint8, row-major
 
     def __post_init__(self) -> None:
         # Row-major, so every kernel's ravel() is a view; an array that
         # already is (a shared read-only still frame too) is not copied.
         self.pixels = np.ascontiguousarray(self.pixels, dtype=np.uint8)
-        if self.pixels.shape != (self.height, self.width):
-            raise BoundsError(
-                f"pixel buffer shape {self.pixels.shape} does not match "
-                f"{self.width}x{self.height}"
-            )
+        if self.pixels.ndim != 2:
+            raise BoundsError(f"pixel buffer must be 2-D, got shape {self.pixels.shape}")
 
-    @classmethod
-    def from_array(cls, pixels: np.ndarray) -> "Frame":
-        pixels = np.asarray(pixels, dtype=np.uint8)
-        h, w = pixels.shape
-        return cls(width=w, height=h, pixels=pixels)
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
 
-    def pixel(self, x: int, y: int) -> int:
-        return int(self.pixels[y, x])
-
-    def same_pixels(self, other: "Frame") -> bool:
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and bool(np.array_equal(self.pixels, other.pixels))
-        )
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
 
 
 @dataclass(frozen=True)
@@ -149,8 +136,7 @@ def crop(frame: Frame, origin: tuple[int, int], size: tuple[int, int]) -> Frame:
         raise BoundsError(f"crop x extent {ox}+{w} exceeds frame width {frame.width}")
     if oy + h > frame.height:
         raise BoundsError(f"crop y extent {oy}+{h} exceeds frame height {frame.height}")
-    out = frame.pixels[oy : oy + h, ox : ox + w].copy()
-    return Frame(w, h, out)
+    return Frame(frame.pixels[oy : oy + h, ox : ox + w].copy())
 
 
 def _divisibility_crop(frame: Frame, factor: int) -> Frame:
@@ -201,11 +187,8 @@ def subsample(frame: Frame, factor: int, mode: str) -> Frame:
             f"frame {frame.width}x{frame.height} too small for {factor}x sub-sampling"
         )
     if mode == "decimate":
-        out = base.pixels[::factor, ::factor].copy()
-    else:
-        out = _bin_blocks(base.pixels, factor)
-    h, w = out.shape
-    return Frame(w, h, out)
+        return Frame(base.pixels[::factor, ::factor].copy())
+    return Frame(_bin_blocks(base.pixels, factor))
 
 
 def of_scale(width: int, height: int) -> int:
@@ -230,9 +213,7 @@ def downscale_for_of(frame: Frame) -> tuple[Frame, int]:
         return frame, 1
     even_w, even_h = (w // 2) * 2, (h // 2) * 2
     base = frame if (even_w, even_h) == (w, h) else crop(frame, (0, 0), (even_w, even_h))
-    out = _bin_blocks(base.pixels, 2)
-    oh, ow = out.shape
-    return Frame(ow, oh, out), 2
+    return Frame(_bin_blocks(base.pixels, 2)), 2
 
 
 def max_frame_rate(frame_height: int, n_vectors: int) -> float:
@@ -308,8 +289,7 @@ def read_pgm(path: str | Path) -> Frame:
     raster = data[pos : pos + width * height]
     if len(raster) != width * height:
         raise ConfigError(f"{path}: truncated raster")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
-    return Frame(width, height, pixels)
+    return Frame(np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy())
 
 
 # ---------------------------------------------------------------------------
@@ -321,27 +301,6 @@ _CONFIG_KEYS = (
     "subsample_mode", "frame_rate", "brief_target", "brief_max",
     "tile_budget", "max_displacement", "ratio_threshold",
 )
-
-
-def save_config(config: SensorConfig, path: str | Path) -> None:
-    lines = [
-        f"out_width={config.out_width}",
-        f"out_height={config.out_height}",
-    ]
-    if config.crop_origin is not None:
-        lines.append(f"crop_x={config.crop_origin[0]}")
-        lines.append(f"crop_y={config.crop_origin[1]}")
-    lines += [
-        f"subsample_factor={config.subsample_factor}",
-        f"subsample_mode={config.subsample_mode}",
-        f"frame_rate={config.frame_rate:g}",
-        f"brief_target={config.brief_target}",
-        f"brief_max={config.brief_max}",
-        f"tile_budget={config.tile_budget}",
-        f"max_displacement={config.max_displacement}",
-        f"ratio_threshold={config.ratio_threshold:g}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_config(path: str | Path) -> SensorConfig:

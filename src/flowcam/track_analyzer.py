@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,27 +26,6 @@ REDETECT_MAX_GAP = 4
 REDETECT_RADIUS = 1
 
 
-@dataclass
-class Track:
-    """One physical feature followed across frames, as a `TrackSet` yields it."""
-
-    id: int
-    points: list[tuple[int, int, int]]  # (frame index, x, y)
-    gaps: list[tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def start_frame(self) -> int:
-        return self.points[0][0]
-
-    @property
-    def end_frame(self) -> int:
-        return self.points[-1][0]
-
-    @property
-    def length(self) -> int:
-        return len(self.points)
-
-
 @dataclass(frozen=True, eq=False)
 class TrackSet:
     """Tracks as flat int64 arrays, one segment per track.
@@ -55,8 +34,7 @@ class TrackSet:
     rows grouped by track, frames ascending within a track: track k is
     `points[offsets[k]:offsets[k + 1]]` and has at least one point. `gaps` is a
     (g, 2) array of re-detection gaps (first, last missing frame), segmented
-    the same way by `gap_offsets`. Iterating yields `Track` records; two sets
-    are equal when their arrays are.
+    the same way by `gap_offsets`. Two sets are equal when their arrays are.
     """
 
     ids: np.ndarray
@@ -67,13 +45,6 @@ class TrackSet:
 
     def __len__(self) -> int:
         return self.ids.size
-
-    def __iter__(self):
-        points = list(map(tuple, self.points.tolist()))
-        gaps = list(map(tuple, self.gaps.tolist()))
-        po, go = self.offsets.tolist(), self.gap_offsets.tolist()
-        for k, tid in enumerate(self.ids.tolist()):
-            yield Track(tid, points[po[k]:po[k + 1]], gaps[go[k]:go[k + 1]])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrackSet):
@@ -427,8 +398,12 @@ def track_stats(tracks: TrackSet) -> dict:
 # ---------------------------------------------------------------------------
 
 def read_ground_truth_csv(path: str | Path) -> list[tuple[float, float]]:
-    """Read per-frame ground-truth flow rows (frame_index, dx, dy)."""
-    rows: list[tuple[int, float, float]] = []
+    """Read per-frame ground-truth flow rows (frame_index, dx, dy).
+
+    The n rows carry each frame index 0..n-1 exactly once, in any order, and
+    finite flows. Returned in frame order.
+    """
+    rows: list[tuple[int, int, float, float]] = []  # (line, frame, dx, dy)
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
@@ -436,15 +411,25 @@ def read_ground_truth_csv(path: str | Path) -> list[tuple[float, float]]:
                 if not raw or raw[0].strip().lower() in ("frame", "frame_index"):
                     continue
                 frame, dx, dy = raw[:3]
-                rows.append((int(frame), float(dx), float(dy)))
+                rows.append((reader.line_num, int(frame), float(dx), float(dy)))
         except UnicodeDecodeError as exc:
             raise FlowcamError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except (ValueError, csv.Error) as exc:
             raise FlowcamError(
                 f"{path}:{reader.line_num}: expected frame,dx,dy numbers: {exc}"
             ) from None
-    rows.sort(key=lambda r: r[0])
-    return [(dx, dy) for _, dx, dy in rows]
+    flows: dict[int, tuple[float, float]] = {}
+    lines: dict[int, int] = {}
+    for line, frame, dx, dy in rows:
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            raise FlowcamError(f"{path}:{line}: flow ({dx}, {dy}) is not finite")
+        if frame in lines:
+            raise FlowcamError(f"{path}:{line}: frame {frame} already on line {lines[frame]}")
+        if not 0 <= frame < len(rows):
+            raise FlowcamError(f"{path}:{line}: frame {frame} outside 0..{len(rows) - 1} "
+                               f"for {len(rows)} rows")
+        flows[frame], lines[frame] = (dx, dy), line
+    return [flows[frame] for frame in range(len(rows))]
 
 
 def write_ground_truth_csv(path: str | Path, flows: list[tuple[float, float]]) -> None:

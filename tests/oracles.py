@@ -1,15 +1,19 @@
-"""Per-record reference formulations the tests compare the pipeline against.
+"""Reference formulations and record types the tests compare the pipeline
+against, with no caller in `src/`.
 
 The pipeline keeps corners, features, vectors and tracks as NumPy batches.
-These helpers work one corner, pair, vector or track at a time on the record
-types (`Feature`, `FlowVector`, `Track`) and have no caller in `src/`. The
+The helpers here work one corner, pair, vector or track at a time on the
+record types (`Feature`, `FlowVector`, and the `Track` defined here). The
 converters at the top turn record lists into the batch types and back. The
-scene renderer at the bottom samples full 2-D coordinate grids for every
-frame.
+closed-form flow of a motion, the config-file writer that `load_config`
+is round-tripped against, and a scene renderer that samples full 2-D
+coordinate grids for every frame follow.
 """
 
 import heapq
 import math
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from flowcam.feature_engine import (
 )
 from flowcam.matcher import NO_COMPETITOR, FlowVector, VectorBatch
 from flowcam.sensor_frontend import Frame
-from flowcam.track_analyzer import Track, TrackSet
+from flowcam.track_analyzer import TrackSet
 
 # ---------------------------------------------------------------------------
 # Records <-> batches
@@ -65,6 +69,27 @@ def vector_batch(vectors):
     return VectorBatch(np.array(rows, dtype=np.int64).reshape(-1, 6))
 
 
+@dataclass
+class Track:
+    """One physical feature followed across frames, as a record."""
+
+    id: int
+    points: list[tuple[int, int, int]]  # (frame index, x, y)
+    gaps: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def start_frame(self) -> int:
+        return self.points[0][0]
+
+    @property
+    def end_frame(self) -> int:
+        return self.points[-1][0]
+
+    @property
+    def length(self) -> int:
+        return len(self.points)
+
+
 def track_set(tracks):
     """A list of `Track` records as a `TrackSet`."""
     def offsets(counts):
@@ -77,6 +102,15 @@ def track_set(tracks):
         np.array([g for t in tracks for g in t.gaps], dtype=np.int64).reshape(-1, 2),
         offsets([len(t.gaps) for t in tracks]),
     )
+
+
+def tracks(track_set):
+    """The `Track` records of a `TrackSet`, in its order."""
+    points = list(map(tuple, track_set.points.tolist()))
+    gaps = list(map(tuple, track_set.gaps.tolist()))
+    po, go = track_set.offsets.tolist(), track_set.gap_offsets.tolist()
+    for k, tid in enumerate(track_set.ids.tolist()):
+        yield Track(tid, points[po[k]:po[k + 1]], gaps[go[k]:go[k + 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +278,50 @@ def redetect_reference(tracks, max_gap, radius):
 
 
 # ---------------------------------------------------------------------------
+# Closed-form flow and config files
+# ---------------------------------------------------------------------------
+
+
+def ground_truth_flow(motion, point):
+    """Closed-form displacement of the content at `point` from one frame to
+    the next."""
+    if motion.kind == "still":
+        return (0.0, 0.0)
+    if motion.kind == "translate":
+        return (float(motion.velocity[0]), float(motion.velocity[1]))
+    if motion.center is None:
+        raise RangeError(f"{motion.kind} motion needs a center")
+    cx, cy = motion.center
+    px, py = point[0] - cx, point[1] - cy
+    if motion.kind == "rotate":
+        c, s = math.cos(motion.omega), math.sin(motion.omega)
+        return (c * px - s * py - px, s * px + c * py - py)
+    return ((motion.rate - 1) * px, (motion.rate - 1) * py)
+
+
+def save_config(config, path):
+    """Write `config` as the key=value file `load_config` reads back."""
+    lines = [
+        f"out_width={config.out_width}",
+        f"out_height={config.out_height}",
+    ]
+    if config.crop_origin is not None:
+        lines.append(f"crop_x={config.crop_origin[0]}")
+        lines.append(f"crop_y={config.crop_origin[1]}")
+    lines += [
+        f"subsample_factor={config.subsample_factor}",
+        f"subsample_mode={config.subsample_mode}",
+        f"frame_rate={config.frame_rate:g}",
+        f"brief_target={config.brief_target}",
+        f"brief_max={config.brief_max}",
+        f"tile_budget={config.tile_budget}",
+        f"max_displacement={config.max_displacement}",
+        f"ratio_threshold={config.ratio_threshold:g}",
+    ]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
 # Scene rendering on full coordinate grids
 # ---------------------------------------------------------------------------
 
@@ -316,5 +394,5 @@ def render_reference(texture, motion, n_frames, viewport, *, fov=None,
     for t in range(n_frames):
         sx, sy = _motion_grid_reference(motion, t, base_x, base_y, center_tex)
         pixels = _bilinear_reference(texture.pixels, sx, sy, t)
-        frames.append(Frame(vw, vh, pixels))
+        frames.append(Frame(pixels))
     return frames

@@ -203,12 +203,19 @@ class TestTypedInputErrors:
     def test_empty_pgm_frame(self, capsys, tmp_path):
         seq = tmp_path / "seq"
         seq.mkdir()
-        write_pgm(Frame.from_array(np.zeros((64, 64), dtype=np.uint8)),
+        write_pgm(Frame(np.zeros((64, 64), dtype=np.uint8)),
                   seq / "frame_0000.pgm")
         (seq / "frame_0001.pgm").write_bytes(b"P5\n0 0\n255\n")
         err = self.run_main(capsys, "run", "--param-set", 6, "--seq", seq,
                             "--out", tmp_path / "o")
         assert "frame_0001.pgm" in err
+
+    @pytest.mark.parametrize("frames", [0, -3])
+    def test_frames_below_one(self, capsys, tmp_path, frames):
+        err = self.run_main(capsys, "run", "--param-set", 6, "--scenario", "still",
+                            "--duration", "0.05", "--frames", frames, "--out", tmp_path / "o")
+        assert err == f"flowcam run: --frames must be at least 1, got {frames}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("duration", ["nan", "inf"])
     def test_non_finite_duration(self, capsys, tmp_path, duration):

@@ -77,12 +77,12 @@ def textured_frame(width=64, height=64, seed=0):
         x, y = rng.integers(4, width - 16), rng.integers(4, height - 16)
         w, h = rng.integers(6, 14, size=2)
         pixels[y : y + h, x : x + w] = rng.integers(0, 256)
-    return Frame.from_array(pixels)
+    return Frame(pixels)
 
 
 class TestDetectFast:
     def test_constant_frame_has_no_corners(self):
-        frame = Frame.from_array(np.full((64, 64), 99, dtype=np.uint8))
+        frame = Frame(np.full((64, 64), 99, dtype=np.uint8))
         assert corner_list(detect_fast(frame, 10)) == []
 
     def test_threshold_255_is_unattainable(self):
@@ -98,7 +98,7 @@ class TestDetectFast:
         pixels = np.full((64, 64), 30.0)
         inside = (xx >= 17) & (xx < 47) & (yy >= 17) & (yy < 47)
         pixels[inside] = 200 - 2 * ring[inside]
-        frame = Frame.from_array(pixels.astype(np.uint8))
+        frame = Frame(pixels.astype(np.uint8))
         corners = corner_list(detect_fast(frame, 20))
         assert corners == oracle_fast(frame, 20)
         geometric = [(17, 17), (46, 17), (17, 46), (46, 46)]
@@ -122,7 +122,7 @@ class TestDetectFast:
         # long chains whose suppression survivor depends on where the margin
         # cuts the chain.
         rng = np.random.default_rng(7)
-        frame = Frame.from_array(rng.integers(0, 256, size=(96, 96), dtype=np.uint8))
+        frame = Frame(rng.integers(0, 256, size=(96, 96), dtype=np.uint8))
         a, b = 5, 3
         shifted = np.full((96, 96), 40, dtype=np.uint8)
         shifted[b:, a:] = frame.pixels[: 96 - b, : 96 - a]
@@ -136,14 +136,14 @@ class TestDetectFast:
         }
         moved = {
             (x, y, s)
-            for x, y, s in detect_fast(Frame.from_array(shifted), 15).tolist()
+            for x, y, s in detect_fast(Frame(shifted), 15).tolist()
             if lo_x <= x < hi and lo_y <= y < hi
         }
         assert base and base == moved
 
     def test_small_frame_rejected(self):
         with pytest.raises(FrameSizeError):
-            detect_fast(Frame.from_array(np.zeros((31, 40), dtype=np.uint8)), 10)
+            detect_fast(Frame(np.zeros((31, 40), dtype=np.uint8)), 10)
 
     def test_bad_threshold_rejected(self):
         frame = textured_frame()
@@ -219,13 +219,13 @@ class TestOrientation:
         return angle + 2 * math.pi if angle < 0 else angle
 
     def test_constant_patch_is_zero(self):
-        frame = Frame.from_array(np.full((40, 40), 70, dtype=np.uint8))
+        frame = Frame(np.full((40, 40), 70, dtype=np.uint8))
         assert compute_orientation(frame, (20, 20)) == 0.0
 
     def test_bright_positive_x_side(self):
         pixels = np.full((40, 40), 10, dtype=np.uint8)
         pixels[:, 21:] = 200
-        frame = Frame.from_array(pixels)
+        frame = Frame(pixels)
         assert abs(compute_orientation(frame, (20, 20))) < 1e-6
 
     def test_matches_bruteforce_oracle(self):
@@ -236,8 +236,8 @@ class TestOrientation:
     def test_rotating_patch_rotates_orientation(self):
         rng = np.random.default_rng(5)
         patch = rng.integers(0, 256, size=(31, 31), dtype=np.uint8)
-        frame = Frame.from_array(patch)
-        rotated = Frame.from_array(np.rot90(patch, k=-1).copy())
+        frame = Frame(patch)
+        rotated = Frame(np.rot90(patch, k=-1).copy())
         o1 = compute_orientation(frame, (15, 15))
         o2 = compute_orientation(rotated, (15, 15))
         assert ((o2 - o1) % (2 * math.pi)) == pytest.approx(math.pi / 2, abs=1e-9)
@@ -260,7 +260,7 @@ def _distinct_pair_patch(seed=8):
             if pixels[cy + py, cx + px] == pixels[cy + qy, cx + qx]
         ]
         if not clashes:
-            return Frame.from_array(pixels)
+            return Frame(pixels)
         for px, py, qx, qy in clashes:
             pixels[cy + qy, cx + qx] = (int(pixels[cy + qy, cx + qx]) + 37) % 256
     raise AssertionError("could not build a clash-free patch")
@@ -276,7 +276,7 @@ class TestDescriptor:
 
     def test_inverted_patch_gives_complement(self):
         frame = _distinct_pair_patch()
-        inverted = Frame.from_array(255 - frame.pixels)
+        inverted = Frame(255 - frame.pixels)
         d = describe_brief(frame, (20, 20), 0.0)
         d_inv = describe_brief(inverted, (20, 20), 0.0)
         assert bytes(a ^ b for a, b in zip(d, d_inv)) == b"\xff" * 32
@@ -287,7 +287,7 @@ class TestDescriptor:
         # a reference run and must stay at or below 32 differing bits.
         pixels = np.full((64, 64), 30, dtype=np.uint8)
         pixels[10:32, 10:32] = 220
-        frame = Frame.from_array(pixels)
+        frame = Frame(pixels)
         cx, cy = 31, 31
         step = 2 * math.pi / 30
         rot = np.full((64, 64), 30, dtype=np.float64)
@@ -305,7 +305,7 @@ class TestDescriptor:
                     + pixels[y0 + 1, x0 + 1] * fx * fy
                 )
                 rot[y, x] = v
-        rotated = Frame.from_array(np.floor(rot + 0.5).astype(np.uint8))
+        rotated = Frame(np.floor(rot + 0.5).astype(np.uint8))
         d0 = describe_brief(frame, (cx, cy), 0.0)
         d1 = describe_brief(rotated, (cx, cy), step)
         distance = sum((a ^ b).bit_count() for a, b in zip(d0, d1))
@@ -315,6 +315,29 @@ class TestDescriptor:
     def test_margin_enforced(self):
         with pytest.raises(MarginError):
             describe_brief(textured_frame(), (20, 60), 0.0)
+
+
+class TestDescribeMargin:
+    # On a 64x80 frame a corner's 31x31 patch fits for 15 <= x <= 48 (w - 16)
+    # and 15 <= y <= 64 (h - 16).
+    FRAME = dict(width=64, height=80, seed=2)
+
+    @pytest.mark.parametrize("x, y", [(15, 40), (48, 40), (32, 15), (32, 64),
+                                      (15, 15), (48, 64)])
+    def test_exact_edges_are_described(self, x, y):
+        frame = textured_frame(**self.FRAME)
+        corners = corner_array([(x, y, 9)])
+        assert list(describe_corners(frame, corners)) == describe_per_corner(frame, corners)
+
+    @pytest.mark.parametrize("x, y", [(14, 40), (49, 40), (32, 14), (32, 65),
+                                      (3, 40), (60, 40), (32, -1), (-1, 32)])
+    def test_corner_past_an_edge_names_it(self, x, y):
+        frame = textured_frame(**self.FRAME)
+        # A valid corner first and a later offender: the message names (x, y).
+        corners = corner_array([(32, 40, 9), (x, y, 9), (0, 0, 9)])
+        with pytest.raises(MarginError, match=rf"^corner \({x}, {y}\) closer than 15 px "
+                                              r"to the border of a 64x80 frame$"):
+            describe_corners(frame, corners)
 
 
 class TestFeatureSet:
@@ -334,10 +357,10 @@ class TestFeatureSet:
 
     def test_fortran_ordered_input_is_stored_row_major(self):
         pixels = textured_frame(width=96, height=80, seed=7).pixels
-        fortran = Frame.from_array(np.asfortranarray(pixels))
-        copy = Frame.from_array(pixels.copy())
+        fortran = Frame(np.asfortranarray(pixels))
+        copy = Frame(pixels.copy())
         assert fortran.pixels.flags.c_contiguous
-        assert Frame.from_array(pixels).pixels is pixels  # row-major: no copy
+        assert Frame(pixels).pixels is pixels  # row-major: no copy
         corners = detect_fast(fortran, 20)
         assert len(corners) > 0
         assert np.array_equal(corners, detect_fast(copy, 20))
@@ -392,7 +415,7 @@ class TestEngineLoop:
             x, y = rng.integers(2, 140, size=2)
             w, h = rng.integers(5, 14, size=2)
             pixels[y : y + h, x : x + w] = rng.integers(0, 256)
-        frame = Frame.from_array(pixels)
+        frame = Frame(pixels)
         target = 48
         state = DetectorState(start, target, 2048, 8)
         assert len(detect_fast(frame, 1)) >= 6 * target

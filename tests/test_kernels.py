@@ -140,7 +140,7 @@ def frame_from(seed, width, height, style):
             pixels[y : y + bh, x : x + bw] = rng.choice([0, 255, int(rng.integers(0, 256))])
     else:
         pixels = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
-    return Frame.from_array(pixels)
+    return Frame(pixels)
 
 
 STYLES = st.sampled_from(["random", "blocks", "binary", "zeros", "full"])
@@ -280,7 +280,7 @@ class TestDetectFast:
         m = BORDER_MARGIN
         for x, y in ((m, m), (47 - m - 1, m), (m, 41 - m - 1), (47 - m - 1, 41 - m - 1)):
             pixels[y, x] = 255
-        frame = Frame.from_array(pixels)
+        frame = Frame(pixels)
         got = corner_list(detect_fast(frame, 10))
         assert got == detect_fast_reference(frame, 10)
         assert {(x, y) for x, y, _ in got} == {
@@ -316,13 +316,25 @@ class TestTileBudget:
         with pytest.raises(RangeError):
             enforce_tile_budget(corners, 64, 64, 2)
 
-    @pytest.mark.parametrize("width", [16, 32752])
+    @pytest.mark.parametrize("width", [16, 32752, 65536])
     def test_widest_fields_fit(self, width):
-        # 4096 tile rows of 2047 tiles stay below 2**23 tile numbers.
-        corners = np.array([(65535, 65535, 255), (65535, 65534, 0), (65534, 65535, 0),
+        # The tallest frame of this width, at most 65536 rows, whose tile
+        # numbers stay below 2**23: 4096 tile rows of 1 or 2047 tiles, or
+        # 2048 rows of 4096. Its far corners hold the widest fields.
+        height = min(1 << 16, (1 << 23) // ((width + 15) // 16) * 16)
+        x, y = width - 1, height - 1
+        corners = np.array([(x, y, 255), (x, y - 1, 0), (x - 1, y, 0),
                             (0, 0, 255), (0, 0, 0), (15, 1, 0)], dtype=np.int64)
-        got = enforce_tile_budget(corners, width, 65536, 2)
+        got = enforce_tile_budget(corners, width, height, 2)
         np.testing.assert_array_equal(got, tile_budget_reference(corners, width, 2))
+
+    @pytest.mark.parametrize("row", [(64, 2, 5), (70, 2, 5), (2, 80, 5), (2, 95, 5)])
+    def test_corner_off_the_frame(self, row):
+        # Unchecked, (70, 2) on a 64-wide frame would alias into tile
+        # (row 1, col 0) and evict (2, 21).
+        corners = np.array([(2, 21, 1), (3, 22, 2), row], dtype=np.int64)
+        with pytest.raises(RangeError, match="inside the 64x80 frame"):
+            enforce_tile_budget(corners, 64, 80, 2)
 
     def test_too_many_tiles(self):
         corners = np.array([(65535, 65535, 9)], dtype=np.int64)
@@ -408,7 +420,7 @@ class TestOrientationAndBrief:
         for side in range(4):
             pixels = np.zeros((31, 31), dtype=np.uint8)
             [pixels[:, 16:], pixels[:, :15], pixels[16:, :], pixels[:15, :]][side][...] = 255
-            frame = Frame.from_array(pixels)
+            frame = Frame(pixels)
             xs, ys = np.array([15]), np.array([15])
             got = compute_orientations(_corner_patches(frame, xs, ys))
             assert got.tobytes() == orientations_reference(frame, xs, ys).tobytes()
@@ -432,7 +444,7 @@ class TestOrientationAndBrief:
             pixels = np.zeros((31, 31), dtype=np.uint8)
             if side >= 0:
                 [pixels[:, 16:], pixels[:, :15], pixels[16:, :], pixels[:15, :]][side][...] = 255
-            frame = Frame.from_array(pixels)
+            frame = Frame(pixels)
             xs, ys = np.array([15]), np.array([15])
             patches = _corner_patches(frame, xs, ys)
             moments = patches @ _MOMENT_WEIGHTS

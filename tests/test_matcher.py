@@ -127,7 +127,7 @@ class TestMatchFeatures:
         curr = [feat(11, 10, d)]
         vectors = match(prev, curr, 4)
         assert len(vectors) == 2
-        assert {v.x_curr for v in vectors} == {11}
+        assert {v.x_prev + v.dx for v in vectors} == {11}
 
     def test_count_never_exceeds_prev(self):
         rng = np.random.default_rng(4)

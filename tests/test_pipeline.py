@@ -21,9 +21,9 @@ from flowcam.sensor_frontend import (
     downscale_for_of,
     load_config,
     of_scale,
-    save_config,
 )
 from flowcam.wire_format import encode, read_ofv
+from oracles import save_config
 
 
 def small_config(**overrides):
@@ -79,30 +79,30 @@ class TestParameterSets:
 class TestFrontendApply:
     def test_pass_through_at_output_size(self):
         cfg = PARAMETER_SETS[4]
-        frame = Frame.from_array(
+        frame = Frame(
             np.zeros((cfg.out_height, cfg.out_width), dtype=np.uint8)
         )
         assert frontend_apply(frame, cfg) is frame
 
     def test_full_sensor_cropped(self):
         rng = np.random.default_rng(0)
-        full = Frame.from_array(rng.integers(0, 256, size=(1364, 1124), dtype=np.uint8))
+        full = Frame(rng.integers(0, 256, size=(1364, 1124), dtype=np.uint8))
         cfg = PARAMETER_SETS[4]
         out = frontend_apply(full, cfg)
         assert (out.width, out.height) == (560, 672)
-        assert out.pixel(0, 0) == full.pixel(280, 336)
+        assert out.pixels[0, 0] == full.pixels[336, 280]
 
     def test_full_sensor_subsampled(self):
         rng = np.random.default_rng(1)
-        full = Frame.from_array(rng.integers(0, 256, size=(1364, 1124), dtype=np.uint8))
+        full = Frame(rng.integers(0, 256, size=(1364, 1124), dtype=np.uint8))
         out = frontend_apply(full, PARAMETER_SETS[5])
         assert (out.width, out.height) == (560, 672)
-        assert out.pixel(0, 0) == full.pixel(0, 0)  # decimation keeps (0, 0)
+        assert out.pixels[0, 0] == full.pixels[0, 0]  # decimation keeps (0, 0)
         out7 = frontend_apply(full, PARAMETER_SETS[7])
         assert (out7.width, out7.height) == (280, 336)
 
     def test_dimension_mismatch_rejected(self):
-        frame = Frame.from_array(np.zeros((100, 100), dtype=np.uint8))
+        frame = Frame(np.zeros((100, 100), dtype=np.uint8))
         with pytest.raises(ConfigError):
             frontend_apply(frame, PARAMETER_SETS[3])
 
@@ -119,7 +119,7 @@ class TestOfScale:
         "w,h,scale", [(640, 480, 1), (641, 480, 2), (480, 640, 1), (640, 481, 2)]
     )
     def test_vga_bound_matches_downscale(self, w, h, scale):
-        _, applied = downscale_for_of(Frame.from_array(np.zeros((h, w), dtype=np.uint8)))
+        _, applied = downscale_for_of(Frame(np.zeros((h, w), dtype=np.uint8)))
         assert of_scale(w, h) == applied == scale
 
 

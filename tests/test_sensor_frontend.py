@@ -13,15 +13,26 @@ from flowcam.sensor_frontend import (
     load_config,
     max_frame_rate,
     read_pgm,
-    save_config,
     subsample,
     write_pgm,
 )
+from oracles import save_config
 
 
 def make_frame(width, height, seed=0):
     rng = np.random.default_rng(seed)
-    return Frame.from_array(rng.integers(0, 256, size=(height, width), dtype=np.uint8))
+    return Frame(rng.integers(0, 256, size=(height, width), dtype=np.uint8))
+
+
+class TestFrame:
+    def test_size_is_the_pixel_shape(self):
+        frame = Frame(np.zeros((23, 37), dtype=np.uint8))
+        assert (frame.width, frame.height) == (37, 23)
+
+    @pytest.mark.parametrize("shape", [(), (16,), (4, 4, 3), (1, 4, 4)])
+    def test_non_2d_buffer_rejected(self, shape):
+        with pytest.raises(BoundsError, match="2-D"):
+            Frame(np.zeros(shape, dtype=np.uint8))
 
 
 class TestCrop:
@@ -29,20 +40,20 @@ class TestCrop:
         frame = make_frame(1124, 1364)
         out = crop(frame, (280, 336), (560, 672))
         assert (out.width, out.height) == (560, 672)
-        assert out.pixel(0, 0) == frame.pixel(280, 336)
-        assert out.pixel(559, 671) == frame.pixel(839, 1007)
+        assert out.pixels[0, 0] == frame.pixels[336, 280]
+        assert out.pixels[671, 559] == frame.pixels[1007, 839]
 
     def test_identity_crop(self):
         frame = make_frame(64, 48)
         out = crop(frame, (0, 0), (64, 48))
-        assert out.same_pixels(frame)
+        assert np.array_equal(out.pixels, frame.pixels)
 
     def test_single_pixel(self):
         pixels = np.zeros((4, 4), dtype=np.uint8)
         pixels[3, 2] = 77
-        out = crop(Frame.from_array(pixels), (2, 3), (1, 1))
+        out = crop(Frame(pixels), (2, 3), (1, 1))
         assert (out.width, out.height) == (1, 1)
-        assert out.pixel(0, 0) == 77
+        assert out.pixels[0, 0] == 77
 
     def test_out_of_bounds_names_coordinate(self):
         frame = make_frame(64, 48)
@@ -61,7 +72,7 @@ class TestCrop:
         frame = make_frame(64, 64, seed=3)
         inner = crop(crop(frame, (ox1, oy1), (ox2 + w, oy2 + h)), (ox2, oy2), (w, h))
         direct = crop(frame, (ox1 + ox2, oy1 + oy2), (w, h))
-        assert inner.same_pixels(direct)
+        assert np.array_equal(inner.pixels, direct.pixels)
 
 
 class TestSubsample:
@@ -77,17 +88,17 @@ class TestSubsample:
 
     def test_two_by_two_block(self):
         pixels = np.array([[10, 20], [30, 40]], dtype=np.uint8)
-        frame = Frame.from_array(pixels)
-        assert subsample(frame, 2, "bin").pixel(0, 0) == 25
-        assert subsample(frame, 2, "decimate").pixel(0, 0) == 10
+        frame = Frame(pixels)
+        assert subsample(frame, 2, "bin").pixels[0, 0] == 25
+        assert subsample(frame, 2, "decimate").pixels[0, 0] == 10
 
     def test_bin_rounds_half_up(self):
         pixels = np.array([[1, 1], [2, 2]], dtype=np.uint8)  # mean 1.5
-        assert subsample(Frame.from_array(pixels), 2, "bin").pixel(0, 0) == 2
+        assert subsample(Frame(pixels), 2, "bin").pixels[0, 0] == 2
 
     @pytest.mark.parametrize("mode", ["decimate", "bin"])
     def test_constant_frame_fixed_point(self, mode):
-        frame = Frame.from_array(np.full((96, 64), 133, dtype=np.uint8))
+        frame = Frame(np.full((96, 64), 133, dtype=np.uint8))
         out = subsample(frame, 2, mode)
         assert (out.width, out.height) == (32, 48)
         assert np.all(out.pixels == 133)
@@ -121,7 +132,7 @@ class TestDownscaleForOf:
         frame = make_frame(280, 336)
         out, scale = downscale_for_of(frame)
         assert scale == 1
-        assert out.same_pixels(frame)
+        assert np.array_equal(out.pixels, frame.pixels)
 
     def test_portrait_vga_passes_through(self):
         out, scale = downscale_for_of(make_frame(480, 640))
@@ -134,7 +145,7 @@ class TestDownscaleForOf:
             once, scale = downscale_for_of(frame)
             assert scale == 1
             again, scale2 = downscale_for_of(once)
-            assert scale2 == 1 and again.same_pixels(once)
+            assert scale2 == 1 and np.array_equal(again.pixels, once.pixels)
 
     def test_binning_used_not_decimation(self):
         pixels = np.zeros((700, 700), dtype=np.uint8)
@@ -142,9 +153,9 @@ class TestDownscaleForOf:
         pixels[0, 1] = 100
         pixels[1, 0] = 100
         pixels[1, 1] = 104
-        out, scale = downscale_for_of(Frame.from_array(pixels))
+        out, scale = downscale_for_of(Frame(pixels))
         assert scale == 2
-        assert out.pixel(0, 0) == 101  # mean 101.0, not the corner sample
+        assert out.pixels[0, 0] == 101  # mean 101.0, not the corner sample
 
 
 class TestMaxFrameRate:
@@ -195,7 +206,7 @@ class TestPgmIo:
         path = tmp_path / "frame.pgm"
         write_pgm(frame, path)
         back = read_pgm(path)
-        assert back.same_pixels(frame)
+        assert np.array_equal(back.pixels, frame.pixels)
 
     def test_reads_commented_header(self, tmp_path):
         path = tmp_path / "c.pgm"
@@ -203,7 +214,7 @@ class TestPgmIo:
         path.write_bytes(b"P5\n# a comment\n3 2\n255\n" + raster)
         frame = read_pgm(path)
         assert (frame.width, frame.height) == (3, 2)
-        assert frame.pixel(2, 1) == 5
+        assert frame.pixels[1, 2] == 5
 
     def test_rejects_truncated(self, tmp_path):
         path = tmp_path / "bad.pgm"

@@ -11,7 +11,6 @@ from flowcam.pipeline import PARAMETER_SETS, run_pipeline, synthesize_sequence
 from flowcam.track_analyzer import (
     REDETECT_MAX_GAP,
     REDETECT_RADIUS,
-    Track,
     TrackSet,
     accuracy_metrics,
     analyze,
@@ -25,11 +24,13 @@ from flowcam.track_analyzer import (
     write_ground_truth_csv,
 )
 from oracles import (
+    Track,
     link_tracks_reference,
     redetect_reference,
     track_set,
     vector_batch,
 )
+from oracles import tracks as track_records
 
 
 def batches(per_frame):
@@ -48,7 +49,7 @@ class TestLinkTracks:
         for t in range(1, 31):
             per_frame.append([vec(x, 20, 1, 0)])
             x += 1
-        [track] = link_tracks(batches(per_frame))
+        [track] = track_records(link_tracks(batches(per_frame)))
         assert track.length == 31
         assert track.points[0] == (0, 10, 20)
         assert track.points[-1] == (30, 40, 20)
@@ -65,8 +66,8 @@ class TestLinkTracks:
                                   tracks.gap_offsets)} == {np.dtype(np.int64)}
 
     def test_empty_input(self):
-        assert list(link_tracks([])) == []
-        assert list(link_tracks(batches([[], [], []]))) == []
+        assert list(track_records(link_tracks([]))) == []
+        assert list(track_records(link_tracks(batches([[], [], []])))) == []
 
     def test_one_pixel_offset_breaks_chain(self):
         per_frame = [
@@ -74,7 +75,7 @@ class TestLinkTracks:
             [vec(10, 10, 1, 0)],  # ends at (1, 11, 10)
             [vec(12, 10, 1, 0)],  # starts from (1, 12, 10): no link
         ]
-        tracks = list(link_tracks(batches(per_frame)))
+        tracks = list(track_records(link_tracks(batches(per_frame))))
         assert len(tracks) == 2
         assert all(t.length == 2 for t in tracks)
 
@@ -84,7 +85,7 @@ class TestLinkTracks:
             [vec(10, 10, 1, 0), vec(12, 10, -1, 0)],  # both end at (1, 11, 10)
             [vec(11, 10, 1, 0)],
         ]
-        tracks = list(link_tracks(batches(per_frame)))
+        tracks = list(track_records(link_tracks(batches(per_frame))))
         assert len(tracks) == 2
         assert tracks[0].length == 3  # older track continued
         assert tracks[1].length == 2
@@ -110,13 +111,13 @@ class TestLinkTracks:
                     unique.append(v)
             total += len(unique)
             per_frame.append(unique)
-        tracks = link_tracks(batches(per_frame))
+        tracks = track_records(link_tracks(batches(per_frame)))
         assert sum(t.length - 1 for t in tracks) == total
 
 
 def redetect_records(tracks, max_gap, radius):
     """`redetect` on a list of `Track` records, as records."""
-    return list(redetect(track_set(tracks), max_gap, radius))
+    return list(track_records(redetect(track_set(tracks), max_gap, radius)))
 
 
 class TestRedetect:
@@ -238,7 +239,7 @@ class TestRedetectOracle:
     def test_matches_full_scan(self, tracks, max_gap, radius):
         expected = as_tuples(redetect_reference(tracks, max_gap, radius))
         given_set = track_set(tracks)
-        assert as_tuples(redetect(given_set, max_gap, radius)) == expected
+        assert as_tuples(track_records(redetect(given_set, max_gap, radius))) == expected
         assert given_set == track_set(tracks)  # the input is left as it was
 
     def test_hand_made_sets_exercise_their_case(self):
@@ -249,14 +250,15 @@ class TestRedetectOracle:
 
     def test_gaps_of_merged_input_carry_over(self):
         once = redetect(track_set(MERGE_CHAIN), 1, 3)
-        expected = redetect_reference(list(once), 2, 3)
-        assert as_tuples(redetect(once, 2, 3)) == as_tuples(expected)
+        expected = redetect_reference(list(track_records(once)), 2, 3)
+        assert as_tuples(track_records(redetect(once, 2, 3))) == as_tuples(expected)
         assert sum(len(t.gaps) for t in expected) > len(once.gaps) > 0
 
     @pytest.mark.parametrize("max_gap,radius", [(4, 1), (1, 1), (2, 2), (5, 3)])
     def test_matches_full_scan_on_rotate_run(self, rotate_tracks, max_gap, radius):
-        expected = redetect_reference(list(rotate_tracks), max_gap, radius)
-        assert as_tuples(redetect(rotate_tracks, max_gap, radius)) == as_tuples(expected)
+        expected = redetect_reference(list(track_records(rotate_tracks)), max_gap, radius)
+        assert (as_tuples(track_records(redetect(rotate_tracks, max_gap, radius)))
+                == as_tuples(expected))
         assert sum(len(t.gaps) for t in expected) > 0
 
     @pytest.mark.parametrize("max_gap,radius", [(0, 1), (1, -1), (4, -2)])
@@ -295,17 +297,18 @@ class TestLinkOracle:
     @settings(max_examples=300, deadline=None)
     def test_matches_per_vector_dict(self, per_frame):
         vectors = batches(per_frame)
-        assert as_tuples(link_tracks(vectors)) == as_tuples(link_tracks_reference(vectors))
+        assert (as_tuples(track_records(link_tracks(vectors)))
+                == as_tuples(link_tracks_reference(vectors)))
 
     def test_hand_made_streams_exercise_their_case(self):
-        [kept, fresh, late] = link_tracks(batches(CONVERGING_HEADS))
+        [kept, fresh, late] = track_records(link_tracks(batches(CONVERGING_HEADS)))
         assert kept.points == [(-1, 0, 0), (0, 1, 0), (1, 2, 0)]
         assert fresh.points == [(-1, 2, 0), (0, 1, 0)]
         assert late.points == [(2, 2, 0), (3, 3, 0)]  # the empty frame breaks the chain
-        [first, second] = link_tracks(batches(DUPLICATE_TAILS))
+        [first, second] = track_records(link_tracks(batches(DUPLICATE_TAILS)))
         assert first.points == [(0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0)]
         assert second.points == [(1, 1, 0), (2, 1, 1), (3, 2, 1)]
-        [first, second] = link_tracks(batches(WIRE_LIMITS))
+        [first, second] = track_records(link_tracks(batches(WIRE_LIMITS)))
         assert first.points == [(-1, 65535, 0), (0, 32768, 32767), (1, 65535, 0),
                                 (2, 65535, 0)]
         assert second.points == [(1, 0, 65535), (2, 0, 65535)]
@@ -439,11 +442,23 @@ class TestCsvInterfaces:
         write_ground_truth_csv(path, flows)
         assert read_ground_truth_csv(path) == flows
 
+    def test_ground_truth_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text("frame,gt_dx,gt_dy\n2,3.0,0.0\n0,1.0,0.0\n1,2.0,0.0\n")
+        assert read_ground_truth_csv(path) == [(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]
+
     @pytest.mark.parametrize("bad_row,message", [
         (b"2,1.0", r"gt\.csv:4: expected frame,dx,dy"),
         (b"2,abc,0.0", r"gt\.csv:4: expected frame,dx,dy"),
         (b"x,1.0,0.0", r"gt\.csv:4: expected frame,dx,dy"),
         (b"2,\xff,0", r"gt\.csv: not UTF-8"),
+        (b"1,0.5,0.0", r"gt\.csv:4: frame 1 already on line 3"),
+        (b"0,0.5,0.0", r"gt\.csv:4: frame 0 already on line 2"),
+        (b"5,0.5,0.0", r"gt\.csv:4: frame 5 outside 0\.\.2"),
+        (b"-1,0.5,0.0", r"gt\.csv:4: frame -1 outside 0\.\.2"),
+        (b"2,nan,0.0", r"gt\.csv:4: flow \(nan, 0\.0\) is not finite"),
+        (b"2,0.0,1e400", r"gt\.csv:4: flow \(0\.0, inf\) is not finite"),
+        (b"2,-inf,0.0", r"gt\.csv:4: flow \(-inf, 0\.0\) is not finite"),
     ])
     def test_bad_ground_truth_row_names_file(self, tmp_path, bad_row, message):
         path = tmp_path / "gt.csv"
