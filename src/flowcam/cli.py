@@ -92,13 +92,11 @@ def cmd_gen(args) -> int:
     tex_size = _size(args.texture_size, "--texture-size") if args.texture_size else (
         2 * viewport[0], 2 * viewport[1]
     )
-    center = ((viewport[0] - 1) / 2, (viewport[1] - 1) / 2)
     motion = MotionSpec(
         args.motion,
         velocity=_pair(args.velocity, "--velocity"),
         rate=args.zoom_rate,
         omega=math.radians(args.omega_deg),
-        center=center,
     )
     texture = generate_texture(TextureSpec(args.texture, args.seed, tex_size))
     frames = render_sequence(texture, motion, args.frames, viewport)
@@ -184,6 +182,13 @@ def cmd_bench(args) -> int:
     print(f"software throughput: {report.throughput_fps:.1f} fps")
     ref = "—" if report.hw_reference is None else f"{report.hw_reference:.0f}"
     model = "—" if report.hw_model_fps is None else f"{report.hw_model_fps:.1f}"
+    point = f"{config.out_height} rows and {config.brief_target} vectors"
+    if report.hw_reference is None:
+        print(f"flowcam bench: no documented operating point for {point}; "
+              "hardware reference not shown", file=sys.stderr)
+    if report.hw_model_fps is None:
+        print(f"flowcam bench: the rate model does not cover {point}; "
+              "rate-model figure not shown", file=sys.stderr)
     print(f"hardware reference: {ref} fps (documented point), {model} fps (rate model)")
     print("software numbers claim no parity with the sensor.")
     return 0

@@ -269,7 +269,6 @@ def synthesize_sequence(
     viewport = (config.out_width, config.out_height)
     fov = (FULL_WIDTH, FULL_HEIGHT)
 
-    fov_center = ((fov[0] - 1) / 2, (fov[1] - 1) / 2)
     if scenario.startswith("translate"):
         per_frame = speed_px_s / config.frame_rate
         motion = MotionSpec("translate", velocity=(per_frame, 0.0))
@@ -280,13 +279,11 @@ def synthesize_sequence(
             2 * fov[1],
         )
     elif scenario == "rotate":
-        motion = MotionSpec(
-            "rotate", omega=math.radians(omega_deg_frame), center=fov_center
-        )
+        motion = MotionSpec("rotate", omega=math.radians(omega_deg_frame))
         side = int(math.ceil(math.hypot(*fov))) + 8
         tex_size = (side, side)
     elif scenario == "zoom":
-        motion = MotionSpec("zoom", rate=zoom_rate_frame, center=fov_center)
+        motion = MotionSpec("zoom", rate=zoom_rate_frame)
         side = int(math.ceil(math.hypot(*fov))) + 8
         tex_size = (side, side)
     else:

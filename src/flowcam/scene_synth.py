@@ -39,19 +39,20 @@ class TextureSpec:
 
 @dataclass(frozen=True)
 class MotionSpec:
-    """Motion of the scene content in image pixels per frame."""
+    """Motion of the scene content in image pixels per frame.
+
+    Zoom and rotation pivot on the centre of the rendered field of view.
+    """
 
     kind: str
     velocity: tuple[float, float] = (0.0, 0.0)  # translate
     rate: float = 1.0  # zoom: scale factor per frame
     omega: float = 0.0  # rotate: radians per frame
-    center: tuple[float, float] | None = None  # zoom/rotate pivot
 
     def __post_init__(self) -> None:
         if self.kind not in MOTION_KINDS:
             raise RangeError(f"unknown motion kind {self.kind!r}")
-        fields = {"velocity": self.velocity, "rate": (self.rate,),
-                  "omega": (self.omega,), "center": self.center or ()}
+        fields = {"velocity": self.velocity, "rate": (self.rate,), "omega": (self.omega,)}
         for name, values in fields.items():
             if not all(math.isfinite(v) for v in values):
                 raise RangeError(f"motion {name} must be finite, got {getattr(self, name)}")

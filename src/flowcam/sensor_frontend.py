@@ -37,11 +37,15 @@ class Frame:
     pixels: np.ndarray  # shape (height, width), dtype uint8, row-major
 
     def __post_init__(self) -> None:
+        pixels = np.asarray(self.pixels)
+        if pixels.ndim != 2:
+            raise BoundsError(f"pixel buffer must be 2-D, got shape {pixels.shape}")
+        if pixels.dtype != np.uint8 and not _holds_uint8(pixels):
+            raise RangeError(f"{pixels.dtype} pixel buffer holds values that are not "
+                             "integers in [0, 255]")
         # Row-major, so every kernel's ravel() is a view; an array that
         # already is (a shared read-only still frame too) is not copied.
-        self.pixels = np.ascontiguousarray(self.pixels, dtype=np.uint8)
-        if self.pixels.ndim != 2:
-            raise BoundsError(f"pixel buffer must be 2-D, got shape {self.pixels.shape}")
+        self.pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
 
     @property
     def width(self) -> int:
@@ -50,6 +54,17 @@ class Frame:
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
+
+
+def _holds_uint8(pixels: np.ndarray) -> bool:
+    """Whether every value of a numeric buffer is an integer in [0, 255]."""
+    if pixels.dtype.kind not in "biuf":
+        return False
+    if not pixels.size:
+        return True
+    if pixels.dtype.kind == "f" and not np.all(np.floor(pixels) == pixels):
+        return False  # fractions and NaN
+    return bool(pixels.min() >= 0 and pixels.max() <= 255)  # infinities too
 
 
 @dataclass(frozen=True)

@@ -282,16 +282,15 @@ def redetect_reference(tracks, max_gap, radius):
 # ---------------------------------------------------------------------------
 
 
-def ground_truth_flow(motion, point):
+def ground_truth_flow(motion, point, fov):
     """Closed-form displacement of the content at `point` from one frame to
-    the next."""
+    the next, in a field of view of `fov` (width, height) pixels; zoom and
+    rotation pivot on its centre, as rendering does."""
     if motion.kind == "still":
         return (0.0, 0.0)
     if motion.kind == "translate":
         return (float(motion.velocity[0]), float(motion.velocity[1]))
-    if motion.center is None:
-        raise RangeError(f"{motion.kind} motion needs a center")
-    cx, cy = motion.center
+    cx, cy = (fov[0] - 1) / 2, (fov[1] - 1) / 2
     px, py = point[0] - cx, point[1] - cy
     if motion.kind == "rotate":
         c, s = math.cos(motion.omega), math.sin(motion.omega)

@@ -1,14 +1,17 @@
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from flowcam.cli import main
 from flowcam.matcher import VectorBatch
+from flowcam.pipeline import PARAMETER_SETS
 from flowcam.sensor_frontend import Frame, write_pgm
 from flowcam.wire_format import encode, write_ofv
+from oracles import save_config
 
 CLI = [sys.executable, "-m", "flowcam.cli"]
 
@@ -122,6 +125,33 @@ class TestTracksAndBench:
         proc = run_cli("bench", "--param-set", 6, "--frames", 50)
         assert "us/frame" in proc.stdout
         assert "hardware reference" in proc.stdout
+
+    def test_bench_names_a_missing_reference(self, capsys):
+        # Set 6 is 336 rows high: the rate model covers it, the datasheet
+        # table documents only 240, 480 and 1364 rows.
+        assert main(["bench", "--param-set", "6", "--frames", "50"]) == 0
+        out, err = capsys.readouterr()
+        assert "hardware reference: — fps (documented point)" in out
+        assert err == ("flowcam bench: no documented operating point for 336 rows "
+                       "and 384 vectors; hardware reference not shown\n")
+
+    def test_bench_names_both_missing_figures(self, tmp_path, capsys):
+        config = tmp_path / "short.cfg"
+        save_config(replace(PARAMETER_SETS[6], out_height=200), config)
+        assert main(["bench", "--config", str(config), "--frames", "50"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "flowcam bench: no documented operating point for 200 rows and 384 "
+            "vectors; hardware reference not shown",
+            "flowcam bench: the rate model does not cover 200 rows and 384 "
+            "vectors; rate-model figure not shown",
+        ]
+
+    def test_bench_silent_when_both_figures_exist(self, capsys):
+        assert main(["bench", "--param-set", "3", "--frames", "50"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "hardware reference: 229 fps (documented point)" in out
 
 
 class TestErrors:

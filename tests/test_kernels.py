@@ -22,8 +22,10 @@ from flowcam.feature_engine import (
     _ARC,
     _CIRCLE,
     _COMPASS,
+    _COMPASS_BAND,
     _MOMENT_WEIGHTS,
     _ROTATED,
+    _SCORE_BLOCK,
     DetectorState,
     _arc_strength,
     _corner_patches,
@@ -221,6 +223,11 @@ class TestBinBlocks:
 DIFF = st.integers(-255, 255)
 
 
+def wrap(diffs):
+    """The 16 circle rows followed by rows 0-7 again, as `_arc_strength` reads them."""
+    return np.concatenate([diffs, diffs[: _ARC - 1]], axis=0)
+
+
 class TestArcStrength:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.lists(DIFF, min_size=16, max_size=16), min_size=1, max_size=12))
@@ -230,15 +237,15 @@ class TestArcStrength:
     def test_matches_sliding_window(self, columns):
         diffs = np.array(columns, dtype=np.int16).T.copy()
         for d in (diffs, -diffs):
-            np.testing.assert_array_equal(_arc_strength(d), arc_strength_reference(d))
+            np.testing.assert_array_equal(_arc_strength(wrap(d)), arc_strength_reference(d))
 
     def test_every_run_position(self):
         # A 9-run of +255 starting at every circle position, the rest -255.
         diffs = np.full((16, 16), -255, dtype=np.int16)
         for start in range(16):
             diffs[[(start + j) % 16 for j in range(_ARC)], start] = 255
-        np.testing.assert_array_equal(_arc_strength(diffs), np.full(16, 255))
-        np.testing.assert_array_equal(_arc_strength(diffs), arc_strength_reference(diffs))
+        np.testing.assert_array_equal(_arc_strength(wrap(diffs)), np.full(16, 255))
+        np.testing.assert_array_equal(_arc_strength(wrap(diffs)), arc_strength_reference(diffs))
 
 
 class TestNms:
@@ -342,9 +349,9 @@ class TestTileBudget:
             enforce_tile_budget(corners, 1 << 30, 65536, 2)
 
 
-def detect_fast_reference(frame, threshold):
-    """Detector as built from 2-D gathers, the sliding-window arc strength
-    and the padded 2-D NMS map."""
+def compass_reference(frame, threshold):
+    """Whole-frame compass pre-filter: the mask of candidates inside the
+    border margin."""
     img = frame.pixels.astype(np.int16)
     h, w = img.shape
     m = BORDER_MARGIN
@@ -356,7 +363,16 @@ def detect_fast_reference(frame, threshold):
         ring = img[m + dy : h - m + dy, m + dx : w - m + dx]
         bright += ring > center + threshold
         dark += ring < center - threshold
-    cy, cx = np.nonzero((bright >= 2) | (dark >= 2))
+    return (bright >= 2) | (dark >= 2)
+
+
+def detect_fast_reference(frame, threshold):
+    """Detector as built from the whole-frame compass filter, 2-D gathers,
+    the sliding-window arc strength and the padded 2-D NMS map."""
+    img = frame.pixels.astype(np.int16)
+    h, w = img.shape
+    m = BORDER_MARGIN
+    cy, cx = np.nonzero(compass_reference(frame, threshold))
     if cy.size == 0:
         return []
     ay, ax = cy + m, cx + m
@@ -469,6 +485,19 @@ class TestOrientationAndBrief:
 # (set, scenario, frame, settled threshold) of the three benchmark workloads
 # on seed 0; the set-1 frame occupies all 30 orientation bins.
 WORKLOAD_FRAMES = [(1, "still", 1, 113), (3, "rotate", 1, 2), (6, "translate-hard", 1, 26)]
+
+
+@pytest.mark.parametrize("threshold", [20, 113])
+def test_full_frame_detection_matches_reference(threshold):
+    # A set-1 OF frame (562x682) has more compass candidates than one score
+    # block at both the controller's first threshold and its settled one,
+    # and its compass filter runs in several row bands.
+    frames, _ = synthesize_sequence(PARAMETER_SETS[1], "still", 2, seed=0)
+    frame, _ = downscale_for_of(frontend_apply(frames[1], PARAMETER_SETS[1]))
+    assert (frame.width, frame.height) == (562, 682)
+    assert compass_reference(frame, threshold).sum() > _SCORE_BLOCK
+    assert frame.width * (frame.height - 2 * BORDER_MARGIN) > 2 * _COMPASS_BAND
+    assert corner_list(detect_fast(frame, threshold)) == detect_fast_reference(frame, threshold)
 
 
 @pytest.mark.parametrize("set_id, scenario, index, threshold", WORKLOAD_FRAMES)

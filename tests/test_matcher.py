@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowcam.errors import RangeError
-from flowcam.feature_engine import Feature
+from flowcam.feature_engine import Feature, FeatureSet
 from flowcam.matcher import FlowVector, match_features, ratio_filter
 from oracles import feature_set, hamming, match_features_bruteforce, vector_batch
 
@@ -151,6 +153,64 @@ class TestMatchFeatures:
         perm = list(rng.permutation(len(prev)))
         shuffled = match([prev[i] for i in perm], curr, 10)
         assert shuffled == base
+        perm = list(rng.permutation(len(curr)))
+        assert match(prev, [curr[i] for i in perm], 10) == base
+        assert match(prev[::-1], curr[::-1], 10) == base
+
+    def test_order_check_exact_beyond_16_bit_x(self):
+        # Not row-major, yet a packed y << 16 | x key would call it sorted:
+        # 11 << 16 | 0 equals 10 << 16 | 65537 with the x bits spilling over.
+        d = desc_from_int(0)
+        feats = [feat(0, 11, d), feat(65537, 10, d)]
+        vectors = match(feats, feats, 1)
+        assert vectors == match_features_bruteforce(feats, feats, 1)
+        assert [(v.x_prev, v.y_prev) for v in vectors] == [(65537, 10), (0, 11)]
+
+    def test_widest_pipeline_grid_memory(self):
+        # Gate 1 over a whole 640x480 OF frame is the pipeline's largest
+        # cell grid: 642 x 482 cells, a 1.2 MB int32 row map.
+        rng = np.random.default_rng(9)
+
+        def spread(n):
+            flat = np.sort(rng.choice(640 * 480, size=n, replace=False))
+            flat[[0, -1]] = 0, 640 * 480 - 1
+            ys, xs = np.divmod(flat, 640)
+            return FeatureSet(xs, ys, np.zeros(n, dtype=np.int64), np.zeros(n),
+                              rng.integers(0, 256, size=(n, 32), dtype=np.uint8))
+
+        prev, curr = spread(2048), spread(2048)
+        tracemalloc.start()
+        try:
+            match_features(prev, curr, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    @pytest.mark.parametrize("far", [(2100, 2100), (-2100, -2100), (0, 1 << 40)])
+    def test_oversized_grid_rejected(self, far):
+        d = desc_from_int(0)
+        with pytest.raises(RangeError, match="max_displacement 1 over a"):
+            match([feat(0, 0, d)], [feat(*far, d)], 1)
+
+    def test_displacement_beyond_16_bits_ranks_by_hamming(self):
+        # A fixed 16-bit Chebyshev field let a 70000-px displacement spill
+        # into the Hamming bits and lose to a worse descriptor.
+        prev = [feat(0, 0, desc_from_int(0))]
+        curr = [feat(1, 0, desc_from_int(1)), feat(70000, 0, desc_from_int(0))]
+        vectors = match(prev, curr, 100000)
+        assert vectors == match_features_bruteforce(prev, curr, 100000)
+        assert [(v.dx, v.best_score, v.second_score) for v in vectors] == [(70000, 0, 1)]
+
+    def test_key_overflow_rejected(self):
+        d = desc_from_int(0)
+        with pytest.raises(RangeError, match="63-bit candidate key"):
+            match([feat(0, 0, d)], [feat(1, 0, d)], 1 << 53)
+
+    def test_wide_gate_keeps_the_grid_small(self):
+        d = desc_from_int(0)
+        [v] = match([feat(0, 0, d)], [feat(2100, 2100, d)], 4096)
+        assert (v.dx, v.dy) == (2100, 2100)
 
     @given(
         n_prev=st.integers(0, 64),

@@ -88,7 +88,6 @@ class TestMotionSpec:
         ("zoom", {"rate": math.nan}),
         ("zoom", {"rate": math.inf}),
         ("rotate", {"omega": math.inf}),
-        ("rotate", {"center": (math.nan, 10.0)}),
     ])
     def test_non_finite_value_rejected(self, kind, kwargs):
         with pytest.raises(RangeError, match="finite"):
@@ -119,7 +118,7 @@ class TestRenderSequence:
     def test_quarter_turn_on_symmetric_wheel_is_identity(self):
         tex = generate_texture(TextureSpec("wheel", 4, (256, 256)))
         frames = render_sequence(
-            tex, MotionSpec("rotate", omega=math.pi / 2, center=(63.5, 63.5)), 3, (128, 128)
+            tex, MotionSpec("rotate", omega=math.pi / 2), 3, (128, 128)
         )
         assert np.array_equal(frames[1].pixels, frames[0].pixels)
         assert np.array_equal(frames[2].pixels, frames[0].pixels)
@@ -249,32 +248,32 @@ class TestRenderOracle:
 
 class TestGroundTruth:
     def test_still(self):
-        assert ground_truth_flow(MotionSpec("still"), (12, 7)) == (0.0, 0.0)
+        assert ground_truth_flow(MotionSpec("still"), (12, 7), (64, 64)) == (0.0, 0.0)
 
     def test_translate_uniform(self):
         motion = MotionSpec("translate", velocity=(3, -2))
-        assert ground_truth_flow(motion, (0, 0)) == (3.0, -2.0)
-        assert ground_truth_flow(motion, (55, 99)) == (3.0, -2.0)
+        assert ground_truth_flow(motion, (0, 0), (64, 64)) == (3.0, -2.0)
+        assert ground_truth_flow(motion, (55, 99), (64, 64)) == (3.0, -2.0)
         assert mean_ground_truth_flow(motion) == (3.0, -2.0)
 
     def test_quarter_turn_unit_point(self):
-        motion = MotionSpec("rotate", omega=math.pi / 2, center=(100, 100))
-        dx, dy = ground_truth_flow(motion, (101, 100))
+        motion = MotionSpec("rotate", omega=math.pi / 2)
+        dx, dy = ground_truth_flow(motion, (101, 100), (201, 201))  # pivot (100, 100)
         # (101, 100) maps to (100, 101): displacement (-1, +1)
         assert dx == pytest.approx(-1.0, abs=1e-9)
         assert dy == pytest.approx(1.0, abs=1e-9)
 
     def test_rotation_chord_length(self):
         omega = 0.3
-        motion = MotionSpec("rotate", omega=omega, center=(50, 50))
+        motion = MotionSpec("rotate", omega=omega)
         for r, angle in [(10, 0.1), (25, 2.0), (60, 4.5)]:
             point = (50 + r * math.cos(angle), 50 + r * math.sin(angle))
-            dx, dy = ground_truth_flow(motion, point)
+            dx, dy = ground_truth_flow(motion, point, (101, 101))  # pivot (50, 50)
             assert math.hypot(dx, dy) == pytest.approx(2 * r * math.sin(omega / 2))
 
     def test_zoom_radial(self):
-        motion = MotionSpec("zoom", rate=1.1, center=(10, 10))
-        dx, dy = ground_truth_flow(motion, (20, 10))
+        motion = MotionSpec("zoom", rate=1.1)
+        dx, dy = ground_truth_flow(motion, (20, 10), (21, 21))  # pivot (10, 10)
         assert (dx, dy) == pytest.approx((1.0, 0.0))
 
 

@@ -34,6 +34,29 @@ class TestFrame:
         with pytest.raises(BoundsError, match="2-D"):
             Frame(np.zeros(shape, dtype=np.uint8))
 
+    @pytest.mark.parametrize("values", [
+        [[300, -1, 2.7]], [[0, 256]], [[-1, 0]], [[0.0, 2.7]], [[0.0, -0.5]],
+        [[0.0, np.nan]], [[0.0, np.inf]], [[255.5, 0.0]], [["1", "2"]], [[1 + 0j, 2]],
+    ])
+    def test_values_a_byte_cannot_hold_rejected(self, values):
+        with pytest.raises(RangeError, match=r"integers in \[0, 255\]"):
+            Frame(np.array(values))
+
+    @pytest.mark.parametrize("values", [
+        np.array([[0, 255], [7, 128]], dtype=np.int64),
+        np.array([[0.0, 255.0], [7.0, 128.0]]),
+        np.array([[0, 255], [7, 128]], dtype=np.uint16),
+        [[0, 255], [7, 128]],
+    ])
+    def test_whole_values_in_range_stored_as_bytes(self, values):
+        frame = Frame(values)
+        assert frame.pixels.dtype == np.uint8
+        assert frame.pixels.tolist() == [[0, 255], [7, 128]]
+
+    def test_bool_and_empty_buffers_accepted(self):
+        assert Frame(np.array([[True, False]])).pixels.tolist() == [[1, 0]]
+        assert Frame(np.zeros((0, 4), dtype=np.int64)).pixels.shape == (0, 4)
+
 
 class TestCrop:
     def test_full_sensor_center_crop(self):
