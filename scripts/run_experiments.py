@@ -16,12 +16,11 @@ from pathlib import Path
 
 from flowcam.pipeline import (
     PARAMETER_SETS,
+    SCENARIOS,
     run_parameter_set,
     synthesize_sequence,
     throughput_report,
 )
-
-SCENARIOS = ("translate-easy", "translate-hard", "still", "rotate")
 
 
 def run_scenario(scenario: str, sets: list[int], duration: float, seed: int,
@@ -107,7 +106,8 @@ def main() -> None:
                         help="translation speed, full-sensor px/s")
     parser.add_argument("--sets", type=int, nargs="+",
                         default=[1, 2, 3, 4, 5, 6, 7])
-    parser.add_argument("--scenarios", nargs="+", default=list(SCENARIOS))
+    parser.add_argument("--scenarios", nargs="+", choices=SCENARIOS,
+                        default=list(SCENARIOS))
     parser.add_argument("--bench-frames", type=int, default=55)
     args = parser.parse_args()
 

@@ -1,7 +1,6 @@
 """flowcam: software emulator of an on-sensor sparse optical-flow accelerator."""
 
 from .feature_engine import (
-    DetectorState,
     Feature,
     FeatureSet,
     detect_fast,
@@ -43,7 +42,6 @@ from .wire_format import decode, encode, read_ofv, write_ofv
 __version__ = "0.1.0"
 
 __all__ = [
-    "DetectorState",
     "Feature",
     "FeatureSet",
     "FlowVector",

@@ -23,7 +23,7 @@ keep the 15-pixel border margin, so every patch lies inside the frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -101,24 +101,6 @@ class FeatureSet:
                    self.orientations.tolist(), self.desc)
         for x, y, score, orientation, row in zip(*columns):
             yield Feature(x, y, score, orientation, row.tobytes())
-
-
-@dataclass(frozen=True)
-class DetectorState:
-    """Contrast threshold plus the budgets it is regulated against."""
-
-    threshold: int
-    brief_target: int
-    brief_max: int
-    tile_budget: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.threshold <= 255:
-            raise RangeError(f"threshold must be in [1, 255], got {self.threshold}")
-        if not 0 < self.brief_target <= self.brief_max <= 2048:
-            raise RangeError("need 0 < brief_target <= brief_max <= 2048")
-        if not 2 <= self.tile_budget <= 8:
-            raise RangeError("tile_budget must be in [2, 8]")
 
 
 def detect_fast(frame: Frame, threshold: int) -> np.ndarray:
@@ -294,6 +276,8 @@ def cap_global(corners: np.ndarray, brief_max: int) -> np.ndarray:
     The detector works top to bottom, so the cap starves the bottom of the
     frame first. Input must already be in row-major order.
     """
+    if not 1 <= brief_max <= 2048:
+        raise RangeError(f"brief_max must be in [1, 2048], got {brief_max}")
     return corners[: brief_max]
 
 
@@ -394,26 +378,29 @@ def describe_batch(patches: np.ndarray, orientations: np.ndarray) -> np.ndarray:
     return desc
 
 
-def update_threshold(state: DetectorState, produced_count: int) -> DetectorState:
-    """One controller step toward the descriptor target.
+def update_threshold(threshold: int, produced: int, target: int) -> int:
+    """One controller step from `threshold` toward the descriptor target.
 
     Damped multiplicative correction, applied once per frame:
     threshold' = clamp(round(threshold * (produced/target)^(1/4)), 1, 255),
     with a zero count treated as one so the threshold can always recover.
     """
-    if produced_count < 0:
-        raise RangeError("produced_count must be non-negative")
-    produced = max(produced_count, 1)
-    gain = (produced / state.brief_target) ** 0.25
-    new = int(math.floor(state.threshold * gain + 0.5))
-    return replace(state, threshold=max(1, min(255, new)))
+    if not 1 <= threshold <= 255:
+        raise RangeError(f"threshold must be in [1, 255], got {threshold}")
+    if produced < 0:
+        raise RangeError(f"produced count must be non-negative, got {produced}")
+    if target <= 0:
+        raise RangeError(f"target must be positive, got {target}")
+    gain = (max(produced, 1) / target) ** 0.25
+    return max(1, min(255, int(math.floor(threshold * gain + 0.5))))
 
 
-def select_corners(frame: Frame, state: DetectorState) -> np.ndarray:
+def select_corners(frame: Frame, threshold: int, tile_budget: int,
+                   brief_max: int) -> np.ndarray:
     """Detection half of the engine: detect, tile budget, global cap."""
-    corners = detect_fast(frame, state.threshold)
-    corners = enforce_tile_budget(corners, frame.width, frame.height, state.tile_budget)
-    return cap_global(corners, state.brief_max)
+    corners = detect_fast(frame, threshold)
+    corners = enforce_tile_budget(corners, frame.width, frame.height, tile_budget)
+    return cap_global(corners, brief_max)
 
 
 def describe_corners(frame: Frame, corners: np.ndarray) -> FeatureSet:

@@ -18,12 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BoundsError, ConfigError, RangeError
-from .feature_engine import (
-    DetectorState,
-    describe_corners,
-    select_corners,
-    update_threshold,
-)
+from .feature_engine import describe_corners, select_corners, update_threshold
 from .matcher import VectorBatch, match_features, ratio_filter
 from .scene_synth import (
     MotionSpec,
@@ -36,10 +31,11 @@ from .sensor_frontend import (
     FULL_HEIGHT,
     FULL_WIDTH,
     Frame,
-    RATE_TABLE,
     SensorConfig,
+    _bin_blocks,
     crop,
     downscale_for_of,
+    hardware_reference,
     max_frame_rate,
     of_scale,
     subsample,
@@ -193,9 +189,7 @@ def run_pipeline(
     """
     if len(frames) < 2:
         raise ConfigError("need at least 2 frames")
-    state = DetectorState(
-        initial_threshold, config.brief_target, config.brief_max, config.tile_budget
-    )
+    threshold = initial_threshold
     per_frame = np.zeros(len(frames), PER_FRAME)
     per_frame_vectors: list[VectorBatch] = []
     payloads: list[bytes] = []
@@ -207,7 +201,8 @@ def run_pipeline(
         recorded = frontend_apply(frame, config)
         of_frame, scale = downscale_for_of(recorded)
         t1 = time.perf_counter_ns()
-        corners = select_corners(of_frame, state)
+        corners = select_corners(of_frame, threshold, config.tile_budget,
+                                 config.brief_max)
         t2 = time.perf_counter_ns()
         features = describe_corners(of_frame, corners)
         produced = len(features)
@@ -222,8 +217,8 @@ def run_pipeline(
         t5 = time.perf_counter_ns()
 
         per_frame[t] = (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4,
-                        state.threshold, produced, len(vectors))
-        state = update_threshold(state, produced)
+                        threshold, produced, len(vectors))
+        threshold = update_threshold(threshold, produced, config.brief_target)
         per_frame_vectors.append(vectors)
         prev_features = features
         of_size = (of_frame.width, of_frame.height, scale)
@@ -265,8 +260,12 @@ def synthesize_sequence(
         if not math.isfinite(value):
             raise RangeError(f"{name} must be finite, got {value}")
     stride = config.subsample_factor
+    # Binned readout averages each stride x stride block of the window at
+    # full resolution, as `subsample` does; decimated readout samples one
+    # pixel of each block.
+    binned = stride if config.subsample_mode == "bin" else 1
     origin = config.crop_origin if config.crop_origin is not None else (0, 0)
-    viewport = (config.out_width, config.out_height)
+    viewport = (config.out_width * binned, config.out_height * binned)
     fov = (FULL_WIDTH, FULL_HEIGHT)
 
     if scenario.startswith("translate"):
@@ -293,8 +292,15 @@ def synthesize_sequence(
     texture = generate_texture(TextureSpec(_SCENARIO_TEXTURE[scenario], seed, tex_size))
     frames = render_camera_sequence(
         texture, motion, n_frames, viewport,
-        fov=fov, window_origin=origin, stride=stride,
+        fov=fov, window_origin=origin, stride=stride // binned,
     )
+    if binned > 1:
+        # Each buffer is binned once: a still scene's frames share one.
+        blocks: dict[int, np.ndarray] = {}
+        for frame in frames:
+            if id(frame.pixels) not in blocks:
+                blocks[id(frame.pixels)] = _bin_blocks(frame.pixels, binned)
+        frames = [Frame(blocks[id(frame.pixels)]) for frame in frames]
     of_units = stride * of_scale(config.out_width, config.out_height)
     gt_fov = mean_ground_truth_flow(motion)
     gt = [(0.0, 0.0)]
@@ -364,21 +370,6 @@ def finalize_report(
 # ---------------------------------------------------------------------------
 # Throughput
 # ---------------------------------------------------------------------------
-
-def hardware_reference(frame_height: int, n_vectors: int) -> float | None:
-    """Datasheet frame rate at the nearest documented operating point.
-
-    Only exact table heights have a reference; the vector budget is rounded
-    down to the closest documented row. None means no documented point.
-    """
-    rows = [p for p in RATE_TABLE if p.frame_height == frame_height]
-    if not rows:
-        return None
-    eligible = [p for p in rows if p.n_vectors <= n_vectors]
-    if not eligible:
-        return None
-    return float(max(eligible, key=lambda p: p.n_vectors).max_fps)
-
 
 def throughput_report(
     config: SensorConfig,

@@ -109,34 +109,19 @@ class SensorConfig:
                 raise ConfigError("crop origin must be non-negative")
 
 
-@dataclass(frozen=True)
-class RateTablePoint:
-    frame_height: int
-    n_vectors: int
-    max_fps: int
+# Datasheet operating points: (frame height, vector budget) -> achievable fps.
+RATE_TABLE = {
+    (240, 1024): 338, (240, 2048): 288,
+    (480, 0): 229, (480, 1024): 205, (480, 2048): 186,
+    (1364, 0): 88, (1364, 1024): 84, (1364, 2048): 80,
+}
 
-
-# Datasheet operating points: frame height, vector budget, achievable FPS.
-RATE_TABLE = (
-    RateTablePoint(240, 1024, 338),
-    RateTablePoint(240, 2048, 288),
-    RateTablePoint(480, 0, 229),
-    RateTablePoint(480, 1024, 205),
-    RateTablePoint(480, 2048, 186),
-    RateTablePoint(1364, 0, 88),
-    RateTablePoint(1364, 1024, 84),
-    RateTablePoint(1364, 2048, 80),
-)
-
-_GRID_HEIGHTS = (240.0, 480.0, 1364.0)
-_GRID_VECTORS = (0.0, 1024.0, 2048.0)
-# The documented table has no (240, 0) point; extend the height-240 row
-# linearly so the grid is complete (338 + (338 - 288) = 388).
-_GRID_FPS = (
-    (388.0, 338.0, 288.0),
-    (229.0, 205.0, 186.0),
-    (88.0, 84.0, 80.0),
-)
+# The bilinear grid of the rate model: the table plus the one corner it
+# lacks, (240, 0), extended linearly along the height-240 row to
+# 338 + (338 - 288) = 388.
+_GRID_FPS = {**RATE_TABLE, (240, 0): 2 * RATE_TABLE[240, 1024] - RATE_TABLE[240, 2048]}
+_GRID_HEIGHTS = sorted({h for h, _ in _GRID_FPS})
+_GRID_VECTORS = sorted({v for _, v in _GRID_FPS})
 
 
 def crop(frame: Frame, origin: tuple[int, int], size: tuple[int, int]) -> Frame:
@@ -243,27 +228,32 @@ def max_frame_rate(frame_height: int, n_vectors: int) -> float:
         raise RangeError(f"n_vectors must be in [0, 2048], got {n_vectors}")
     h = float(frame_height)
     v = float(n_vectors)
-    hi = 0
-    while hi < len(_GRID_HEIGHTS) - 2 and h > _GRID_HEIGHTS[hi + 1]:
-        hi += 1
-    vi = 0
-    while vi < len(_GRID_VECTORS) - 2 and v > _GRID_VECTORS[vi + 1]:
-        vi += 1
-    h0, h1 = _GRID_HEIGHTS[hi], _GRID_HEIGHTS[hi + 1]
-    v0, v1 = _GRID_VECTORS[vi], _GRID_VECTORS[vi + 1]
+    # The grid is 3x3: the bracket is the lower or the upper pair of rows
+    # and of columns, and a value on the middle line takes the lower one.
+    hi = int(h > _GRID_HEIGHTS[1])
+    vi = int(v > _GRID_VECTORS[1])
+    h0, h1 = _GRID_HEIGHTS[hi : hi + 2]
+    v0, v1 = _GRID_VECTORS[vi : vi + 2]
     th = (h - h0) / (h1 - h0)
     tv = (v - v0) / (v1 - v0)
-    f00 = _GRID_FPS[hi][vi]
-    f01 = _GRID_FPS[hi][vi + 1]
-    f10 = _GRID_FPS[hi + 1][vi]
-    f11 = _GRID_FPS[hi + 1][vi + 1]
     fps = (
-        f00 * (1 - th) * (1 - tv)
-        + f01 * (1 - th) * tv
-        + f10 * th * (1 - tv)
-        + f11 * th * tv
+        _GRID_FPS[h0, v0] * (1 - th) * (1 - tv)
+        + _GRID_FPS[h0, v1] * (1 - th) * tv
+        + _GRID_FPS[h1, v0] * th * (1 - tv)
+        + _GRID_FPS[h1, v1] * th * tv
     )
     return round(fps, 1)
+
+
+def hardware_reference(frame_height: int, n_vectors: int) -> float | None:
+    """Datasheet frame rate at the nearest documented operating point.
+
+    Only exact table heights have a reference; the vector budget is rounded
+    down to the closest documented row. None means no documented point.
+    """
+    rows = [(v, fps) for (h, v), fps in RATE_TABLE.items()
+            if h == frame_height and v <= n_vectors]
+    return float(max(rows)[1]) if rows else None
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +314,7 @@ def load_config(path: str | Path) -> SensorConfig:
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text") from None
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -334,10 +325,12 @@ def load_config(path: str | Path) -> SensorConfig:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value.strip()
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already on line {lines[key]}")
+        values[key], lines[key] = value.strip(), lineno
 
-    def field(key, convert, default=None):
-        setting = values.get(key, default)
+    def field(key, convert):
+        setting = values.get(key)
         if setting is None:
             raise ConfigError(f"{path}: missing key {key!r}")
         try:
@@ -347,9 +340,12 @@ def load_config(path: str | Path) -> SensorConfig:
                 f"{path}: {key}={setting!r} is not a valid {convert.__name__}"
             ) from None
 
-    crop_origin = None
+    # Keys a file may leave out keep SensorConfig's defaults.
+    optional = {key: field(key, convert) for key, convert in (
+        ("ratio_threshold", float), ("subsample_factor", int), ("subsample_mode", str),
+    ) if key in values}
     if "crop_x" in values or "crop_y" in values:
-        crop_origin = (field("crop_x", int), field("crop_y", int))
+        optional["crop_origin"] = (field("crop_x", int), field("crop_y", int))
     return SensorConfig(
         out_width=field("out_width", int),
         out_height=field("out_height", int),
@@ -358,9 +354,6 @@ def load_config(path: str | Path) -> SensorConfig:
         brief_max=field("brief_max", int),
         tile_budget=field("tile_budget", int),
         max_displacement=field("max_displacement", int),
-        ratio_threshold=field("ratio_threshold", float, "1.0"),
-        crop_origin=crop_origin,
-        subsample_factor=field("subsample_factor", int, "1"),
-        subsample_mode=values.get("subsample_mode", "decimate"),
+        **optional,
     )
 

@@ -149,13 +149,14 @@ def describe_brief(frame, corner, orientation):
     return packed[0].tobytes()
 
 
-def extract_features(frame, state):
+def extract_features(frame, threshold, tile_budget, brief_max):
     """Full engine pass as records: detect, budget, cap, orient and describe.
 
     Returns the feature list and the produced descriptor count the
     controller consumes (after the per-tile budget and the global cap).
     """
-    features = list(describe_corners(frame, select_corners(frame, state)))
+    corners = select_corners(frame, threshold, tile_budget, brief_max)
+    features = list(describe_corners(frame, corners))
     return features, len(features)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from flowcam.errors import FrameSizeError, MarginError, RangeError
 from flowcam.feature_engine import (
     BORDER_MARGIN,
-    DetectorState,
     PAIR_TABLE,
     cap_global,
     describe_corners,
@@ -205,6 +204,13 @@ class TestGlobalCap:
         kept = corner_list(cap_global(corner_array(top + bottom), len(top)))
         assert kept == top
 
+    @pytest.mark.parametrize("brief_max", [-1, 0, 2049])
+    def test_cap_out_of_range_rejected(self, brief_max):
+        corners = corner_array([(x, 0, 1) for x in range(100)])
+        with pytest.raises(RangeError, match=rf"brief_max must be in \[1, 2048\], "
+                                             rf"got {brief_max}$"):
+            cap_global(corners, brief_max)
+
 
 class TestOrientation:
     def oracle(self, frame, x, y):
@@ -347,8 +353,7 @@ class TestFeatureSet:
     @settings(max_examples=60, deadline=None)
     def test_records_match_per_corner_oracles(self, seed, threshold, budget, cap):
         frame = textured_frame(width=96, height=80, seed=seed)
-        state = DetectorState(threshold, min(cap, 64), cap, budget)
-        corners = select_corners(frame, state)
+        corners = select_corners(frame, threshold, budget, cap)
         features = describe_corners(frame, corners)
         assert len(features) == len(corners)
         assert features.desc.shape == (len(corners), 32)
@@ -368,38 +373,39 @@ class TestFeatureSet:
 
 
 class TestThresholdController:
-    def state(self, threshold, target=512, cap=2048, budget=4):
-        return DetectorState(threshold, target, cap, budget)
-
     def test_equilibrium_is_stable(self):
-        state = self.state(37)
-        assert update_threshold(state, 512).threshold == 37
+        assert update_threshold(37, 512, 512) == 37
 
     def test_sixteen_fold_overshoot_doubles(self):
-        state = self.state(20, target=64)
-        assert update_threshold(state, 16 * 64).threshold == 40
+        assert update_threshold(20, 16 * 64, 64) == 40
 
     def test_zero_count_clamps_at_floor(self):
-        state = self.state(1)
-        assert update_threshold(state, 0).threshold == 1
+        assert update_threshold(1, 0, 512) == 1
 
     def test_upper_clamp(self):
-        state = self.state(250, target=1)
-        assert update_threshold(state, 2048).threshold == 255
+        assert update_threshold(250, 2048, 1) == 255
 
     def test_threshold_always_in_range(self):
-        state = self.state(128, target=100)
         for produced in (0, 1, 50, 100, 1000, 2048):
-            new = update_threshold(state, produced)
-            assert 1 <= new.threshold <= 255
+            new = update_threshold(128, produced, 100)
+            assert 1 <= new <= 255
+
+    @pytest.mark.parametrize("threshold, produced, target, message", [
+        (0, 10, 64, r"threshold must be in \[1, 255\], got 0"),
+        (256, 10, 64, r"threshold must be in \[1, 255\], got 256"),
+        (20, -1, 64, "produced count must be non-negative, got -1"),
+        (20, 10, 0, "target must be positive, got 0"),
+    ])
+    def test_out_of_range_inputs_rejected(self, threshold, produced, target, message):
+        with pytest.raises(RangeError, match=message):
+            update_threshold(threshold, produced, target)
 
 
 class TestEngineLoop:
     def test_determinism_bit_for_bit(self):
         frame = textured_frame(width=96, height=96, seed=12)
-        state = DetectorState(10, 64, 256, 4)
-        feats1, n1 = extract_features(frame, state)
-        feats2, n2 = extract_features(frame, state)
+        feats1, n1 = extract_features(frame, 10, 4, 256)
+        feats2, n2 = extract_features(frame, 10, 4, 256)
         assert n1 == n2
         assert feats1 == feats2
 
@@ -417,13 +423,13 @@ class TestEngineLoop:
             pixels[y : y + h, x : x + w] = rng.integers(0, 256)
         frame = Frame(pixels)
         target = 48
-        state = DetectorState(start, target, 2048, 8)
+        threshold = start
         assert len(detect_fast(frame, 1)) >= 6 * target
 
         counts = []
         for _ in range(60):
-            _, produced = extract_features(frame, state)
+            _, produced = extract_features(frame, threshold, 8, 2048)
             counts.append(produced)
-            state = update_threshold(state, produced)
+            threshold = update_threshold(threshold, produced, target)
         settle = counts[19:]
         assert all(abs(c - target) <= 0.1 * target for c in settle), (start, counts)

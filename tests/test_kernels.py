@@ -26,7 +26,6 @@ from flowcam.feature_engine import (
     _MOMENT_WEIGHTS,
     _ROTATED,
     _SCORE_BLOCK,
-    DetectorState,
     _arc_strength,
     _corner_patches,
     _nms,
@@ -505,9 +504,7 @@ def test_workload_frames_match_references(set_id, scenario, index, threshold):
     config = PARAMETER_SETS[set_id]
     frames, _ = synthesize_sequence(config, scenario, index + 1, seed=0)
     frame, _ = downscale_for_of(frontend_apply(frames[index], config))
-    state = DetectorState(threshold, config.brief_target, config.brief_max,
-                          config.tile_budget)
-    corners = select_corners(frame, state)
+    corners = select_corners(frame, threshold, config.tile_budget, config.brief_max)
     xs, ys = corners[:, 0], corners[:, 1]
     features = describe_corners(frame, corners)
     ref = orientations_reference(frame, xs, ys)

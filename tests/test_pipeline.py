@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from flowcam.errors import ConfigError, RangeError
-from flowcam.feature_engine import DetectorState, update_threshold
+from flowcam.feature_engine import update_threshold
 from flowcam.pipeline import (
     PARAMETER_SETS,
     STAGES,
@@ -16,6 +18,8 @@ from flowcam.pipeline import (
 )
 from flowcam.scene_synth import MotionSpec, TextureSpec, generate_texture, render_sequence
 from flowcam.sensor_frontend import (
+    FULL_HEIGHT,
+    FULL_WIDTH,
     Frame,
     SensorConfig,
     downscale_for_of,
@@ -152,9 +156,8 @@ class TestRunPipeline:
         assert (rows["produced"] <= cfg.brief_max).all()
         assert rows["threshold"][0] == 11
         for prev, row in zip(rows[:-1], rows[1:]):
-            state = DetectorState(int(prev["threshold"]), cfg.brief_target,
-                                  cfg.brief_max, cfg.tile_budget)
-            assert row["threshold"] == update_threshold(state, int(prev["produced"])).threshold
+            assert row["threshold"] == update_threshold(
+                int(prev["threshold"]), int(prev["produced"]), cfg.brief_target)
         assert len(set(rows["threshold"].tolist())) > 1
 
     def test_determinism(self):
@@ -221,6 +224,22 @@ class TestSynthesizeSequence:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(RangeError):
             synthesize_sequence(PARAMETER_SETS[6], "warp", 3)
+
+    @pytest.mark.parametrize("set_id", [5, 7])
+    @pytest.mark.parametrize("scenario", ["translate-easy", "rotate", "still"])
+    def test_binned_readout_matches_the_frontend(self, set_id, scenario):
+        decimated = PARAMETER_SETS[set_id]
+        binned = replace(decimated, subsample_mode="bin")
+        full = replace(decimated, out_width=FULL_WIDTH, out_height=FULL_HEIGHT,
+                       subsample_factor=1)
+        frames, gt = synthesize_sequence(binned, scenario, 3, seed=3)
+        full_frames, _ = synthesize_sequence(full, scenario, 3, seed=3)
+        strided, strided_gt = synthesize_sequence(decimated, scenario, 3, seed=3)
+        assert gt == strided_gt
+        for frame, full_frame, strided_frame in zip(frames, full_frames, strided):
+            expected = frontend_apply(full_frame, binned)
+            assert np.array_equal(frame.pixels, expected.pixels)
+            assert not np.array_equal(frame.pixels, strided_frame.pixels)
 
     @pytest.mark.parametrize("duration", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_duration_rejected(self, duration):

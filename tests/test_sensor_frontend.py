@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from flowcam.errors import BoundsError, ConfigError, FlowcamError, RangeError
 from flowcam.sensor_frontend import (
     _CONFIG_KEYS,
+    RATE_TABLE,
     Frame,
     SensorConfig,
     crop,
     downscale_for_of,
+    hardware_reference,
     load_config,
     max_frame_rate,
     read_pgm,
@@ -198,6 +200,14 @@ class TestMaxFrameRate:
     def test_documented_rows_exact(self, height, vectors, fps):
         assert max_frame_rate(height, vectors) == fps
 
+    def test_extrapolated_corner(self):
+        # The table has no (240, 0) point; the grid extends its row: 2*338 - 288.
+        assert max_frame_rate(240, 0) == 388
+
+    @pytest.mark.parametrize("height, vectors", sorted(RATE_TABLE))
+    def test_reference_and_model_agree_on_the_table(self, height, vectors):
+        assert hardware_reference(height, vectors) == max_frame_rate(height, vectors)
+
     def test_interpolates_between_rows(self):
         # Halfway between (480, 1024)=205 and (480, 2048)=186.
         assert max_frame_rate(480, 1536) == pytest.approx(195.5)
@@ -315,6 +325,21 @@ class TestConfigIo:
         path = write_config(tmp_path / "cam.cfg", frame_rate=rate)
         with pytest.raises(ConfigError, match="frame_rate"):
             load_config(path)
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = write_config(tmp_path / "cam.cfg")
+        path.write_text(path.read_text() + "out_width=32\n")
+        with pytest.raises(ConfigError, match=r"cam.cfg:10: key 'out_width' already "
+                                              r"on line 1$"):
+            load_config(path)
+
+    def test_omitted_optional_keys_keep_defaults(self, tmp_path):
+        path = write_config(tmp_path / "cam.cfg")
+        config = load_config(path)
+        defaults = SensorConfig(out_width=64, out_height=64, frame_rate=60,
+                                brief_target=64, brief_max=128, tile_budget=4,
+                                max_displacement=8, crop_origin=(0, 0))
+        assert config == defaults
 
     def test_missing_key_named(self, tmp_path):
         path = tmp_path / "cam.cfg"
