@@ -23,6 +23,11 @@ MOTION_KINDS = ("translate", "zoom", "rotate", "still")
 
 WHEEL_SECTORS = 12  # palette repeats every 3 sectors: 4-fold symmetric
 
+# Frames and the wheel texture are computed in row bands of about this
+# many pixels, so that each band's float64 temporaries stay in cache:
+# about ten of them live at once while a rotated band is sampled.
+_RENDER_BAND = 1 << 14
+
 
 @dataclass(frozen=True)
 class TextureSpec:
@@ -131,16 +136,27 @@ def _box_blur(img: np.ndarray, radius: int) -> None:
 
 
 def _wheel(rng: np.random.Generator, w: int, h: int) -> np.ndarray:
-    """Gray sector wheel, 12 sectors with a 3-value palette (4-fold symmetric)."""
+    """Gray sector wheel, 12 sectors with a 3-value palette (4-fold symmetric).
+
+    Rows are filled `_RENDER_BAND` pixels at a time. On arctan2's range
+    [-pi, pi], `theta % 2pi` is theta plus 2pi where theta is negative (a
+    -0.0 stays in sector 0). The floored sector indexes a 13-entry gray
+    table whose last entry is sector 0's, for a quotient that rounds up to
+    exactly 12.
+    """
     palette = rng.permutation(np.array([40, 130, 220], dtype=np.uint8))
-    yy, xx = np.ogrid[0:h, 0:w]
-    theta = np.arctan2(yy - (h - 1) / 2, xx - (w - 1) / 2)
-    theta %= 2 * math.pi
-    theta /= 2 * math.pi / WHEEL_SECTORS
-    sector = np.floor(theta, out=theta).astype(int)
-    sector %= WHEEL_SECTORS
-    sector %= 3
-    return palette[sector]
+    gray = palette[np.arange(WHEEL_SECTORS + 1) % WHEEL_SECTORS % 3]
+    dx = np.arange(w) - (w - 1) / 2
+    dy = np.arange(h)[:, None] - (h - 1) / 2
+    pixels = np.empty((h, w), dtype=np.uint8)
+    rows = max(1, _RENDER_BAND // w)
+    for r0 in range(0, h, rows):
+        theta = np.arctan2(dy[r0 : r0 + rows], dx)
+        np.add(theta, 2 * math.pi, out=theta, where=theta < 0)
+        theta /= 2 * math.pi / WHEEL_SECTORS
+        np.floor(theta, out=theta)
+        pixels[r0 : r0 + rows] = gray[theta.astype(np.intp)]
+    return pixels
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +164,16 @@ def _wheel(rng: np.random.Generator, w: int, h: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _bilinear(texture: np.ndarray, sx: np.ndarray, sy: np.ndarray,
-              frame_index: int) -> np.ndarray:
-    """Sample `texture` bilinearly at (sx, sy), rounded to uint8.
+              frame_index: int, out: np.ndarray) -> None:
+    """Sample `texture` bilinearly at (sx, sy) into the uint8 band `out`,
+    rounded half up.
 
-    sx and sy broadcast to the output shape: a `(1, w)` row of columns and
-    an `(h, 1)` column of rows for a separable map, full grids otherwise.
-    The four corners are gathered from the flat texture at `y0*w + x0` and
-    its `+1`, `+w`, `+w+1` neighbours, so the result is a fresh row-major
-    array of the broadcast shape. (Gathering columns of a row block, as in
-    `texture[y0][:, x0]`, gives the same pixels in Fortran order, and every
-    kernel's `ravel()` would then copy the frame.)
+    sx and sy broadcast to the band's shape: a `(1, w)` row of columns and
+    an `(r, 1)` column of rows for a separable map, full bands otherwise.
+    Corners are floored and clipped in float64, the same values as int64
+    corners without mixed int/float loops, and cast to `intp` only to
+    gather from the flat texture at `y0*w + x0` and its `+1`, `+w`, `+w+1`
+    neighbours.
     """
     h, w = texture.shape
     # Written so that a NaN coordinate fails the check too.
@@ -165,19 +181,22 @@ def _bilinear(texture: np.ndarray, sx: np.ndarray, sy: np.ndarray,
         raise CoverageError(
             f"frame {frame_index}: motion samples the texture outside its bounds"
         )
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
+    x0 = np.floor(sx)
+    y0 = np.floor(sy)
     fx = sx - x0
     fy = sy - y0
     flat = texture.ravel()
     if not fx.any() and not fy.any():
-        return flat[y0 * w + x0]
-    x0 = np.minimum(x0, w - 2)
-    y0 = np.minimum(y0, h - 2)
-    fx = sx - x0
-    fy = sy - y0
-    gx, gy = 1 - fx, 1 - fy
-    idx = y0 * w + x0
+        out[...] = flat[y0.astype(np.intp) * w + x0.astype(np.intp)]
+        return
+    np.minimum(x0, w - 2, out=x0)
+    np.minimum(y0, h - 2, out=y0)
+    np.subtract(sx, x0, out=fx)
+    np.subtract(sy, y0, out=fy)
+    idx = y0.astype(np.intp) * w + x0.astype(np.intp)
+    # The corners are no longer needed: their buffers take the weights.
+    gx = np.subtract(1, fx, out=x0)
+    gy = np.subtract(1, fy, out=y0)
     # The float64 weights promote the gathered corners exactly; converting
     # the whole texture instead would copy it once per rendered frame. The
     # sum keeps the order T00*gx*gy + T01*fx*gy + T10*gx*fy + T11*fx*fy.
@@ -193,7 +212,7 @@ def _bilinear(texture: np.ndarray, sx: np.ndarray, sy: np.ndarray,
     term *= fy
     val += term
     val += 0.5
-    return np.floor(val, out=val).astype(np.uint8)
+    out[...] = np.floor(val, out=val)
 
 
 def _sample_coords(
@@ -203,11 +222,12 @@ def _sample_coords(
     rows: np.ndarray,
     center_tex: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Texture sample coordinates for frame t.
+    """Texture sample coordinates of one band of frame t.
 
     `cols` is the `(1, w)` row of frame-0 texture columns and `rows` the
-    `(h, 1)` column of frame-0 texture rows. Translate and zoom maps are
-    separable and keep those shapes; rotate broadcasts them to full grids.
+    `(r, 1)` column of the band's frame-0 texture rows. Translate and zoom
+    maps are separable and keep those shapes; rotate broadcasts them to a
+    full band.
     """
     if t == 0:
         return cols, rows
@@ -224,6 +244,24 @@ def _sample_coords(
     # zoom: content scales by `rate` per frame about the center
     inv = motion.rate ** (-t)
     return cx + dx * inv, cy + dy * inv
+
+
+def _render_frame(
+    texture: np.ndarray,
+    motion: MotionSpec,
+    t: int,
+    cols: np.ndarray,
+    rows: np.ndarray,
+    center_tex: tuple[float, float],
+) -> np.ndarray:
+    """Frame t as one row-major uint8 buffer, sampled in row bands of
+    about `_RENDER_BAND` pixels."""
+    pixels = np.empty((rows.shape[0], cols.shape[1]), dtype=np.uint8)
+    band = max(1, _RENDER_BAND // cols.shape[1])
+    for r0 in range(0, rows.shape[0], band):
+        sx, sy = _sample_coords(motion, t, cols, rows[r0 : r0 + band], center_tex)
+        _bilinear(texture, sx, sy, t, pixels[r0 : r0 + band])
+    return pixels
 
 
 def render_camera_sequence(
@@ -267,14 +305,13 @@ def render_camera_sequence(
     rows = base_off_y + oy + stride * np.arange(vh, dtype=np.float64)[:, None]
 
     if motion.kind == "still":
-        pixels = _bilinear(tex, cols, rows, 0)
+        pixels = _render_frame(tex, motion, 0, cols, rows, center_tex)
         pixels.flags.writeable = False
         return [Frame(pixels) for _ in range(n_frames)]
-    frames = []
-    for t in range(n_frames):
-        sx, sy = _sample_coords(motion, t, cols, rows, center_tex)
-        frames.append(Frame(_bilinear(tex, sx, sy, t)))
-    return frames
+    return [
+        Frame(_render_frame(tex, motion, t, cols, rows, center_tex))
+        for t in range(n_frames)
+    ]
 
 
 def render_sequence(

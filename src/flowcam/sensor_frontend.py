@@ -107,6 +107,16 @@ class SensorConfig:
             cx, cy = self.crop_origin
             if cx < 0 or cy < 0:
                 raise ConfigError("crop origin must be non-negative")
+            f = self.subsample_factor
+            window = (self.out_width * f, self.out_height * f)
+            read = tuple(_addressable(dim, f) for dim in window)
+            if f > 1 and read != window:
+                raise ConfigError(
+                    f"crop window {window[0]}x{window[1]} is cut to "
+                    f"{read[0]}x{read[1]} for {f}x sub-sampling, so the frontend "
+                    f"would read {read[0] // f}x{read[1] // f}, not "
+                    f"{self.out_width}x{self.out_height}"
+                )
 
 
 # Datasheet operating points: (frame height, vector budget) -> achievable fps.
@@ -139,19 +149,21 @@ def crop(frame: Frame, origin: tuple[int, int], size: tuple[int, int]) -> Frame:
     return Frame(frame.pixels[oy : oy + h, ox : ox + w].copy())
 
 
-def _divisibility_crop(frame: Frame, factor: int) -> Frame:
-    """Top-left crop to the area the sub-sampling hardware can address.
+def _addressable(dim: int, factor: int) -> int:
+    """The part of a dimension the sub-sampling hardware can address.
 
     Dimensions of at least 32 pixels are cut to a multiple of 32 (the grid
     that reproduces the sensor's documented 2x and 4x output sizes from the
     full array); smaller dimensions fall back to plain factor divisibility.
     """
-    def cut(dim: int) -> int:
-        if dim >= SUBSAMPLE_ALIGN:
-            return (dim // SUBSAMPLE_ALIGN) * SUBSAMPLE_ALIGN
-        return (dim // factor) * factor
+    if dim >= SUBSAMPLE_ALIGN:
+        return (dim // SUBSAMPLE_ALIGN) * SUBSAMPLE_ALIGN
+    return (dim // factor) * factor
 
-    w, h = cut(frame.width), cut(frame.height)
+
+def _divisibility_crop(frame: Frame, factor: int) -> Frame:
+    """Top-left crop to the area the sub-sampling hardware can address."""
+    w, h = _addressable(frame.width, factor), _addressable(frame.height, factor)
     if (w, h) == (frame.width, frame.height):
         return frame
     return crop(frame, (0, 0), (w, h))

@@ -6,8 +6,9 @@ The helpers here work one corner, pair, vector or track at a time on the
 record types (`Feature`, `FlowVector`, and the `Track` defined here). The
 converters at the top turn record lists into the batch types and back. The
 closed-form flow of a motion, the config-file writer that `load_config`
-is round-tripped against, and a scene renderer that samples full 2-D
-coordinate grids for every frame follow.
+is round-tripped against, a scene renderer that samples full 2-D
+coordinate grids for every frame, and the sector wheel texture computed on
+the whole grid at once follow.
 """
 
 import heapq
@@ -30,6 +31,7 @@ from flowcam.feature_engine import (
     select_corners,
 )
 from flowcam.matcher import NO_COMPETITOR, FlowVector, VectorBatch
+from flowcam.scene_synth import WHEEL_SECTORS
 from flowcam.sensor_frontend import Frame
 from flowcam.track_analyzer import TrackSet
 
@@ -396,3 +398,15 @@ def render_reference(texture, motion, n_frames, viewport, *, fov=None,
         pixels = _bilinear_reference(texture.pixels, sx, sy, t)
         frames.append(Frame(pixels))
     return frames
+
+
+def wheel_reference(rng, w, h):
+    """`scene_synth._wheel` on the whole grid: `np.remainder` of the angle
+    and an int64 `% 12 % 3` into the shuffled palette."""
+    palette = rng.permutation(np.array([40, 130, 220], dtype=np.uint8))
+    yy, xx = np.ogrid[0:h, 0:w]
+    theta = np.arctan2(yy - (h - 1) / 2, xx - (w - 1) / 2)
+    theta %= 2 * math.pi
+    theta /= 2 * math.pi / WHEEL_SECTORS
+    sector = np.floor(theta).astype(np.int64)
+    return palette[sector % WHEEL_SECTORS % 3]

@@ -110,6 +110,23 @@ class TestFrontendApply:
         with pytest.raises(ConfigError):
             frontend_apply(frame, PARAMETER_SETS[3])
 
+    def test_crop_the_subsampler_would_cut_rejected(self):
+        # A 600x480 window sub-sampled 2x is cut to 576x480 first, so a
+        # full-sensor frame would come out 288x240, not the 300x240 that
+        # synthesis would render.
+        with pytest.raises(ConfigError, match="crop window 600x480 .* read 288x240"):
+            small_config(out_width=300, out_height=240, crop_origin=(0, 0),
+                         subsample_factor=2)
+
+    def test_addressable_crop_window_accepted(self):
+        cfg = small_config(out_width=320, out_height=240, crop_origin=(64, 32),
+                           subsample_factor=2)
+        rng = np.random.default_rng(2)
+        full = Frame(rng.integers(0, 256, size=(FULL_HEIGHT, FULL_WIDTH), dtype=np.uint8))
+        out = frontend_apply(full, cfg)
+        assert (out.width, out.height) == (320, 240)
+        assert out.pixels[0, 0] == full.pixels[32, 64]
+
 
 class TestOfScale:
     @pytest.mark.parametrize(

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from flowcam.errors import CoverageError, FrameSizeError, RangeError
 from flowcam.feature_engine import detect_fast
+from flowcam.pipeline import PARAMETER_SETS
 from flowcam.scene_synth import (
+    _RENDER_BAND,
     MOTION_KINDS,
     MotionSpec,
     TextureSpec,
     _bilinear,
     _foliage,
+    _wheel,
     generate_texture,
     load_sequence,
     mean_ground_truth_flow,
@@ -22,7 +25,7 @@ from flowcam.scene_synth import (
     save_sequence,
 )
 from flowcam.sensor_frontend import Frame, subsample
-from oracles import ground_truth_flow, render_reference
+from oracles import ground_truth_flow, render_reference, wheel_reference
 
 
 class TestTextures:
@@ -55,6 +58,16 @@ class TestTextures:
     def test_wheel_four_fold_symmetric(self):
         tex = generate_texture(TextureSpec("wheel", 5, (256, 256)))
         assert np.array_equal(np.rot90(tex.pixels), tex.pixels)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("size", [(64, 64), (65, 97), (1000, 300), (1776, 1776)],
+                             ids=lambda size: f"{size[0]}x{size[1]}")
+    def test_wheel_matches_reference(self, size, seed):
+        # 1000x300 ends in a partial band; 1776 is set 1's rotate texture.
+        w, h = size
+        got = _wheel(np.random.default_rng(seed), w, h)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, wheel_reference(np.random.default_rng(seed), w, h))
 
     def test_noise_uses_full_range(self):
         tex = generate_texture(TextureSpec("noise", 1, (128, 128)))
@@ -154,7 +167,9 @@ class TestRenderSequence:
         val = (t[y0, x0] * (1 - fx) * (1 - fy) + t[y0, x0 + 1] * fx * (1 - fy)
                + t[y0 + 1, x0] * (1 - fx) * fy + t[y0 + 1, x0 + 1] * fx * fy)
         expected = np.floor(val + 0.5).astype(np.uint8)
-        assert np.array_equal(_bilinear(tex, sx, sy, 0), expected)
+        out = np.empty((6, 7), dtype=np.uint8)
+        _bilinear(tex, sx, sy, 0, out)
+        assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_bilinear_rejects_nan_coordinate(self, axis):
@@ -163,7 +178,7 @@ class TestRenderSequence:
         sy = np.full((4, 1), 2.25)
         (sx if axis == "x" else sy)[0, 0] = math.nan
         with pytest.raises(CoverageError, match="frame 7"):
-            _bilinear(tex, sx, sy, 7)
+            _bilinear(tex, sx, sy, 7, np.empty((4, 5), dtype=np.uint8))
 
     def test_strided_readout_matches_decimation(self):
         tex = generate_texture(TextureSpec("blocks", 6, (256, 256)))
@@ -244,6 +259,75 @@ class TestRenderOracle:
         for g, e in zip(got, expected):
             assert g.pixels.flags.c_contiguous
             assert np.array_equal(g.pixels, e.pixels)
+
+
+# Windows of more than two render bands whose last band is partial.
+BAND_VIEWPORT = (185, 185)
+BAND_MOTIONS = [
+    MotionSpec("translate", velocity=(0.75, -1.25)),
+    MotionSpec("zoom", rate=1.05),
+    MotionSpec("rotate", omega=0.3),
+    MotionSpec("still"),
+]
+
+
+class TestBandedRender:
+    """Frames rendered band by band against the full-grid reference."""
+
+    def test_window_spans_bands(self):
+        vw, vh = BAND_VIEWPORT
+        assert vw * vh > 2 * _RENDER_BAND
+        assert vh % (_RENDER_BAND // vw) != 0
+
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    @pytest.mark.parametrize("motion", BAND_MOTIONS, ids=lambda m: m.kind)
+    def test_matches_full_grid_reference(self, motion, stride):
+        vw, vh = BAND_VIEWPORT
+        fov = (vw * stride + 3, vh * stride + 5)
+        # Integer texture offsets, so frame 0 and the still frame take the
+        # direct gather; the margin holds the rotated field of view.
+        margin = int(math.hypot(*fov) - min(fov)) // 2 + 4
+        size = (fov[1] + 2 * margin, fov[0] + 2 * margin)
+        texture = Frame(np.random.default_rng(stride).integers(0, 256, size, dtype=np.uint8))
+        case = (None, motion, 3, BAND_VIEWPORT, fov, (1, 2), stride)
+        expected = render_outcome(render_reference, texture, case)
+        got = render_outcome(render_camera_sequence, texture, case)
+        assert len(got) == len(expected) == 3
+        for g, e in zip(got, expected):
+            assert g.pixels.flags.c_contiguous
+            assert np.array_equal(g.pixels, e.pixels)
+
+    def test_coverage_error_from_a_later_band(self):
+        # The texture's rows end with the field of view's. Content moving up
+        # half a pixel per frame puts frame 1's bottom row outside it, while
+        # its first band, rows 0.5 to band - 0.5, stays inside.
+        vw, vh = BAND_VIEWPORT
+        assert _RENDER_BAND // vw - 0.5 <= vh - 1
+        texture = Frame(np.random.default_rng(0).integers(0, 256, (vh, vw + 8), dtype=np.uint8))
+        case = (None, MotionSpec("translate", velocity=(0.0, -0.5)), 3, BAND_VIEWPORT,
+                (vw, vh), (0, 0), 1)
+        expected = render_outcome(render_reference, texture, case)
+        assert expected == "frame 1: motion samples the texture outside its bounds"
+        assert render_outcome(render_camera_sequence, texture, case) == expected
+
+    @pytest.mark.parametrize("kind, n_frames", [("rotate", 2), ("still", 1)])
+    def test_peak_memory_is_frames_plus_a_few_bands(self, kind, n_frames):
+        # Set 1's full-array window. Frame 0 of a rotation is the identity
+        # map, so the rotated frame is frame 1. One full-frame float64 or
+        # int64 temporary (12 MB) would break the bound.
+        config = PARAMETER_SETS[1]
+        viewport = (config.out_width, config.out_height)
+        side = int(math.ceil(math.hypot(*viewport))) + 8
+        texture = generate_texture(TextureSpec("wheel", 0, (side, side)))
+        motion = MotionSpec(kind, omega=math.radians(2))
+        tracemalloc.start()
+        try:
+            render_camera_sequence(texture, motion, n_frames, viewport)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        frame_bytes = viewport[0] * viewport[1]
+        assert peak < n_frames * frame_bytes + 16 * 8 * _RENDER_BAND
 
 
 class TestGroundTruth:
