@@ -40,7 +40,12 @@ from .sensor_frontend import (
     of_scale,
     subsample,
 )
-from .track_analyzer import analyze, write_analysis, write_ground_truth_csv
+from .track_analyzer import (
+    analyze,
+    write_analysis,
+    write_ground_truth_csv,
+    written_ground_truth,
+)
 from .wire_format import encode, write_ofv
 
 INITIAL_THRESHOLD = 20
@@ -54,7 +59,7 @@ DEFAULT_MAX_DISPLACEMENT = 16
 DEFAULT_RATIO_THRESHOLD = 0.8
 
 
-def _pset(out_w, out_h, fps, target, cap, tile, crop_origin=None, factor=1):
+def _pset(out_w, out_h, fps, target, cap, tile, crop_origin, factor=1):
     return SensorConfig(
         out_width=out_w,
         out_height=out_h,
@@ -70,13 +75,13 @@ def _pset(out_w, out_h, fps, target, cap, tile, crop_origin=None, factor=1):
     )
 
 PARAMETER_SETS: dict[int, SensorConfig] = {
-    1: _pset(1124, 1364, 60, 1536, 2048, 2),
-    2: _pset(1120, 1344, 60, 1536, 2048, 2, crop_origin=(0, 0)),
-    3: _pset(640, 480, 140, 768, 1024, 4, crop_origin=(240, 432)),
-    4: _pset(560, 672, 140, 768, 1024, 4, crop_origin=(280, 336)),
-    5: _pset(560, 672, 140, 768, 1024, 4, factor=2),
-    6: _pset(272, 336, 240, 384, 512, 8, crop_origin=(420, 504)),
-    7: _pset(280, 336, 240, 384, 512, 8, factor=4),
+    1: _pset(1124, 1364, 60, 1536, 2048, 2, (0, 0)),
+    2: _pset(1120, 1344, 60, 1536, 2048, 2, (0, 0)),
+    3: _pset(640, 480, 140, 768, 1024, 4, (240, 432)),
+    4: _pset(560, 672, 140, 768, 1024, 4, (280, 336)),
+    5: _pset(560, 672, 140, 768, 1024, 4, (0, 0), factor=2),
+    6: _pset(272, 336, 240, 384, 512, 8, (420, 504)),
+    7: _pset(280, 336, 240, 384, 512, 8, (0, 0), factor=4),
 }
 
 SCENARIOS = ("translate-easy", "translate-hard", "zoom", "rotate", "still")
@@ -141,37 +146,18 @@ class RunReport:
 def frontend_apply(frame: Frame, config: SensorConfig) -> Frame:
     """Reduce an input frame to the configured recorded geometry.
 
-    Frames already at the output size pass through; full-sensor frames get
-    the configured crop and sub-sampling. Anything else is a mismatch.
+    Frames already at the output size pass through; from any other frame the
+    config's window is cut and sub-sampled, as `synthesize_sequence` renders it.
     """
-    out_size = (config.out_width, config.out_height)
-    if (frame.width, frame.height) == out_size:
+    if (frame.width, frame.height) == (config.out_width, config.out_height):
         return frame
-    result = frame
+    f = config.subsample_factor
     try:
-        if config.crop_origin is not None:
-            size = (config.out_width * config.subsample_factor,
-                    config.out_height * config.subsample_factor)
-            result = crop(result, config.crop_origin, size)
-        if config.subsample_factor > 1:
-            result = subsample(result, config.subsample_factor, config.subsample_mode)
-        elif config.crop_origin is None:
-            raise ConfigError(
-                f"frame {frame.width}x{frame.height} does not match configured "
-                f"output {config.out_width}x{config.out_height} and no "
-                f"crop/sub-sample is set"
-            )
+        window = crop(frame, config.crop_origin, (config.out_width * f, config.out_height * f))
+        return subsample(window, f, config.subsample_mode) if f > 1 else window
     except BoundsError as exc:
-        raise ConfigError(
-            f"frame {frame.width}x{frame.height} cannot supply the configured "
-            f"geometry: {exc}"
-        ) from exc
-    if (result.width, result.height) != out_size:
-        raise ConfigError(
-            f"frontend produced {result.width}x{result.height}, configured output "
-            f"is {config.out_width}x{config.out_height}"
-        )
-    return result
+        raise ConfigError(f"frame {frame.width}x{frame.height} cannot supply the "
+                          f"configured geometry: {exc}") from exc
 
 
 def run_pipeline(
@@ -264,7 +250,6 @@ def synthesize_sequence(
     # full resolution, as `subsample` does; decimated readout samples one
     # pixel of each block.
     binned = stride if config.subsample_mode == "bin" else 1
-    origin = config.crop_origin if config.crop_origin is not None else (0, 0)
     viewport = (config.out_width * binned, config.out_height * binned)
     fov = (FULL_WIDTH, FULL_HEIGHT)
 
@@ -292,7 +277,7 @@ def synthesize_sequence(
     texture = generate_texture(TextureSpec(_SCENARIO_TEXTURE[scenario], seed, tex_size))
     frames = render_camera_sequence(
         texture, motion, n_frames, viewport,
-        fov=fov, window_origin=origin, stride=stride // binned,
+        fov=fov, window_origin=config.crop_origin, stride=stride // binned,
     )
     if binned > 1:
         # Each buffer is binned once: a still scene's frames share one.
@@ -354,8 +339,11 @@ def finalize_report(
 
     Writes `<name>.ofv`, the analysis CSVs and, with ground truth,
     `<name>_gt.csv`. The .ofv stream holds the payloads `run_pipeline`
-    encoded into `report`.
+    encoded into `report`; the analysis reads the ground truth as
+    `<name>_gt.csv` holds it, so `flowcam report` reproduces it.
     """
+    if ground_truth is not None:
+        ground_truth = written_ground_truth(ground_truth)
     analysis = analyze(per_frame_vectors, ground_truth)
     report.summary.update(analysis.summary)
     if out_dir is None:

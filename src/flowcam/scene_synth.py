@@ -10,12 +10,13 @@ bilinear interpolation, so the true flow field is known in closed form.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CoverageError, FrameSizeError, RangeError
+from .errors import CoverageError, FlowcamError, FrameSizeError, RangeError
 from .sensor_frontend import Frame, read_pgm, write_pgm
 
 TEXTURE_KINDS = ("blocks", "foliage", "wheel", "noise")
@@ -364,9 +365,18 @@ def save_sequence(
 
 
 def load_sequence(directory: str | Path) -> list[Frame]:
+    """Read the `frame_<n>.pgm` files of a directory in the order of n."""
     directory = Path(directory)
-    paths = sorted(directory.glob("frame_*.pgm"))
+    paths: dict[int, Path] = {}
+    for path in sorted(directory.glob("frame_*.pgm")):
+        number = re.fullmatch(r"frame_([0-9]+)\.pgm", path.name)
+        if number is None:
+            raise FlowcamError(f"{path}: frame files must be named frame_<digits>.pgm")
+        n = int(number.group(1))
+        if n in paths:
+            raise FlowcamError(f"{paths[n]} and {path} are both frame {n}")
+        paths[n] = path
     if not paths:
         raise FrameSizeError(f"no frame_*.pgm files in {directory}")
-    return [read_pgm(path) for path in paths]
+    return [read_pgm(paths[n]) for n in sorted(paths)]
 

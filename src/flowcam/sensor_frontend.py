@@ -69,7 +69,11 @@ def _holds_uint8(pixels: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class SensorConfig:
-    """One camera setting: geometry, rate and feature-engine budgets."""
+    """One camera setting: geometry, rate and feature-engine budgets.
+
+    It records the window at `crop_origin` of `subsample_factor` times the
+    output size; synthesis renders that window and `frontend_apply` cuts it.
+    """
 
     out_width: int
     out_height: int
@@ -79,7 +83,7 @@ class SensorConfig:
     tile_budget: int
     max_displacement: int
     ratio_threshold: float = 1.0
-    crop_origin: tuple[int, int] | None = None
+    crop_origin: tuple[int, int] = (0, 0)
     subsample_factor: int = 1
     subsample_mode: str = "decimate"
 
@@ -103,20 +107,19 @@ class SensorConfig:
             raise ConfigError("max_displacement must be positive")
         if not 0 < self.ratio_threshold <= 1:
             raise ConfigError("ratio_threshold must be in (0, 1]")
-        if self.crop_origin is not None:
-            cx, cy = self.crop_origin
-            if cx < 0 or cy < 0:
-                raise ConfigError("crop origin must be non-negative")
-            f = self.subsample_factor
-            window = (self.out_width * f, self.out_height * f)
-            read = tuple(_addressable(dim, f) for dim in window)
-            if f > 1 and read != window:
-                raise ConfigError(
-                    f"crop window {window[0]}x{window[1]} is cut to "
-                    f"{read[0]}x{read[1]} for {f}x sub-sampling, so the frontend "
-                    f"would read {read[0] // f}x{read[1] // f}, not "
-                    f"{self.out_width}x{self.out_height}"
-                )
+        cx, cy = self.crop_origin
+        if cx < 0 or cy < 0:
+            raise ConfigError("crop origin must be non-negative")
+        f = self.subsample_factor
+        window = (self.out_width * f, self.out_height * f)
+        read = tuple(_addressable(dim, f) for dim in window)
+        if f > 1 and read != window:
+            raise ConfigError(
+                f"crop window {window[0]}x{window[1]} is cut to "
+                f"{read[0]}x{read[1]} for {f}x sub-sampling, so the frontend "
+                f"would read {read[0] // f}x{read[1] // f}, not "
+                f"{self.out_width}x{self.out_height}"
+            )
 
 
 # Datasheet operating points: (frame height, vector budget) -> achievable fps.
@@ -161,21 +164,16 @@ def _addressable(dim: int, factor: int) -> int:
     return (dim // factor) * factor
 
 
-def _divisibility_crop(frame: Frame, factor: int) -> Frame:
-    """Top-left crop to the area the sub-sampling hardware can address."""
-    w, h = _addressable(frame.width, factor), _addressable(frame.height, factor)
-    if (w, h) == (frame.width, frame.height):
-        return frame
-    return crop(frame, (0, 0), (w, h))
-
-
 def _bin_blocks(pixels: np.ndarray, factor: int) -> np.ndarray:
-    """Mean of each factor x factor block, rounded half up to 8 bits.
+    """Mean of each whole factor x factor block, rounded half up to 8 bits.
 
+    A partial last block row or column is dropped (a view, not a copy).
     Sums the factor^2 strided planes in uint16 (at most 16*255 + 8 for 4x4
     blocks, so nothing overflows); dividing by the power of two factor^2
     after adding half of it is the exact round-half-up mean.
     """
+    h, w = pixels.shape
+    pixels = pixels[: h - h % factor, : w - w % factor]
     n = factor * factor
     sums = pixels[::factor, ::factor].astype(np.uint16)
     for dy in range(factor):
@@ -188,19 +186,19 @@ def _bin_blocks(pixels: np.ndarray, factor: int) -> np.ndarray:
 
 
 def subsample(frame: Frame, factor: int, mode: str) -> Frame:
-    """Reduce resolution by keeping every `factor`-th pixel or averaging blocks."""
+    """Keep every `factor`-th pixel or average blocks of the addressable top-left."""
     if factor not in (2, 4):
         raise ConfigError(f"subsample factor must be 2 or 4, got {factor}")
     if mode not in SUBSAMPLE_MODES:
         raise ConfigError(f"unknown subsample mode {mode!r}")
-    base = _divisibility_crop(frame, factor)
-    if base.width < factor or base.height < factor:
+    w, h = _addressable(frame.width, factor), _addressable(frame.height, factor)
+    if w < factor or h < factor:
         raise BoundsError(
             f"frame {frame.width}x{frame.height} too small for {factor}x sub-sampling"
         )
     if mode == "decimate":
-        return Frame(base.pixels[::factor, ::factor].copy())
-    return Frame(_bin_blocks(base.pixels, factor))
+        return Frame(frame.pixels[:h:factor, :w:factor].copy())
+    return Frame(_bin_blocks(frame.pixels[:h, :w], factor))
 
 
 def of_scale(width: int, height: int) -> int:
@@ -216,16 +214,13 @@ def of_scale(width: int, height: int) -> int:
 def downscale_for_of(frame: Frame) -> tuple[Frame, int]:
     """Down-scale a frame that exceeds the OF unit's VGA bound.
 
-    Frames `of_scale` gives 2 are binned 2x and reported with scale 2;
-    smaller frames pass through with scale 1. Flow coordinates downstream are
-    in the returned frame's system.
+    Frames `of_scale` gives 2 are binned 2x (an odd last row or column is
+    dropped) and reported with scale 2; smaller frames pass through with
+    scale 1. Flow coordinates downstream are in the returned frame's system.
     """
-    w, h = frame.width, frame.height
-    if of_scale(w, h) == 1:
+    if of_scale(frame.width, frame.height) == 1:
         return frame, 1
-    even_w, even_h = (w // 2) * 2, (h // 2) * 2
-    base = frame if (even_w, even_h) == (w, h) else crop(frame, (0, 0), (even_w, even_h))
-    return Frame(_bin_blocks(base.pixels, 2)), 2
+    return Frame(_bin_blocks(frame.pixels, 2)), 2
 
 
 def max_frame_rate(frame_height: int, n_vectors: int) -> float:

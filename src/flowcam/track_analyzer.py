@@ -432,6 +432,11 @@ def read_ground_truth_csv(path: str | Path) -> list[tuple[float, float]]:
     return [flows[frame] for frame in range(len(rows))]
 
 
+def written_ground_truth(flows: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The flows as `write_ground_truth_csv` writes them, to six decimals."""
+    return [(float(f"{dx:.6f}"), float(f"{dy:.6f}")) for dx, dy in flows]
+
+
 def write_ground_truth_csv(path: str | Path, flows: list[tuple[float, float]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)

@@ -6,7 +6,8 @@ The helpers here work one corner, pair, vector or track at a time on the
 record types (`Feature`, `FlowVector`, and the `Track` defined here). The
 converters at the top turn record lists into the batch types and back. The
 closed-form flow of a motion, the config-file writer that `load_config`
-is round-tripped against, a scene renderer that samples full 2-D
+is round-tripped against, sub-sampling and 2x binning as a copying crop
+followed by a reshaped block mean, a scene renderer that samples full 2-D
 coordinate grids for every frame, and the sector wheel texture computed on
 the whole grid at once follow.
 """
@@ -32,7 +33,7 @@ from flowcam.feature_engine import (
 )
 from flowcam.matcher import NO_COMPETITOR, FlowVector, VectorBatch
 from flowcam.scene_synth import WHEEL_SECTORS
-from flowcam.sensor_frontend import Frame
+from flowcam.sensor_frontend import Frame, crop
 from flowcam.track_analyzer import TrackSet
 
 # ---------------------------------------------------------------------------
@@ -306,11 +307,8 @@ def save_config(config, path):
     lines = [
         f"out_width={config.out_width}",
         f"out_height={config.out_height}",
-    ]
-    if config.crop_origin is not None:
-        lines.append(f"crop_x={config.crop_origin[0]}")
-        lines.append(f"crop_y={config.crop_origin[1]}")
-    lines += [
+        f"crop_x={config.crop_origin[0]}",
+        f"crop_y={config.crop_origin[1]}",
         f"subsample_factor={config.subsample_factor}",
         f"subsample_mode={config.subsample_mode}",
         f"frame_rate={config.frame_rate:g}",
@@ -321,6 +319,32 @@ def save_config(config, path):
         f"ratio_threshold={config.ratio_threshold:g}",
     ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Sub-sampling and binning by crop-then-reduce
+# ---------------------------------------------------------------------------
+
+
+def bin_blocks_reference(pixels, factor):
+    """Round-half-up mean of each factor x factor block of an array whose
+    sides are multiples of `factor`, summed over a reshaped block axis."""
+    h, w = pixels.shape
+    blocks = pixels.astype(np.int64).reshape(h // factor, factor, w // factor, factor)
+    n = factor * factor
+    return ((blocks.sum(axis=(1, 3)) + n // 2) // n).astype(np.uint8)
+
+
+def subsample_reference(frame, factor, mode):
+    """Copy the top-left part the sub-sampler addresses (sides cut to a
+    multiple of 32, or of `factor` below 32 pixels), then decimate or bin."""
+    def addressable(dim):
+        return dim // 32 * 32 if dim >= 32 else dim // factor * factor
+
+    cut = crop(frame, (0, 0), (addressable(frame.width), addressable(frame.height)))
+    if mode == "decimate":
+        return cut.pixels[::factor, ::factor]
+    return bin_blocks_reference(cut.pixels, factor)
 
 
 # ---------------------------------------------------------------------------

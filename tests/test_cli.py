@@ -90,6 +90,19 @@ class TestRun:
         assert (rep / "report_summary.csv").exists()
         assert "final_rel_err" in proc.stdout
 
+    def test_report_replays_the_run(self, tmp_path):
+        # 100 px/s at 240 fps is 0.41666... px/frame, which the ground-truth
+        # CSV holds only to six decimals; the run analyzes what it writes.
+        out, rep = tmp_path / "run", tmp_path / "rep"
+        assert main(["run", "--param-set", "6", "--scenario", "translate-hard",
+                     "--frames", "30", "--speed", "100", "--out", str(out),
+                     "--name", "run"]) == 0
+        assert main(["report", "--ofv", str(out / "run.ofv"),
+                     "--gt", str(out / "run_gt.csv"), "--out", str(rep)]) == 0
+        for table in ("summary", "frames"):
+            run_csv = (out / f"run_{table}.csv").read_bytes()
+            assert run_csv == (rep / f"report_{table}.csv").read_bytes()
+
     def test_mismatched_ground_truth_is_reported(self, still_sequence, tmp_path):
         seq = tmp_path / "seq"
         shutil.copytree(still_sequence, seq)

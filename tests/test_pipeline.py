@@ -47,13 +47,13 @@ def still_frames(n=4, size=(160, 120), seed=0):
 class TestParameterSets:
     # (id, width, height, crop, factor, fps, target, cap, tile)
     TABLE = [
-        (1, 1124, 1364, None, 1, 60, 1536, 2048, 2),
+        (1, 1124, 1364, (0, 0), 1, 60, 1536, 2048, 2),
         (2, 1120, 1344, (0, 0), 1, 60, 1536, 2048, 2),
         (3, 640, 480, (240, 432), 1, 140, 768, 1024, 4),
         (4, 560, 672, (280, 336), 1, 140, 768, 1024, 4),
-        (5, 560, 672, None, 2, 140, 768, 1024, 4),
+        (5, 560, 672, (0, 0), 2, 140, 768, 1024, 4),
         (6, 272, 336, (420, 504), 1, 240, 384, 512, 8),
-        (7, 280, 336, None, 4, 240, 384, 512, 8),
+        (7, 280, 336, (0, 0), 4, 240, 384, 512, 8),
     ]
 
     @pytest.mark.parametrize("row", TABLE, ids=[f"set{r[0]}" for r in TABLE])
@@ -113,10 +113,12 @@ class TestFrontendApply:
     def test_crop_the_subsampler_would_cut_rejected(self):
         # A 600x480 window sub-sampled 2x is cut to 576x480 first, so a
         # full-sensor frame would come out 288x240, not the 300x240 that
-        # synthesis would render.
+        # synthesis would render. Without crop keys the window is at (0, 0).
         with pytest.raises(ConfigError, match="crop window 600x480 .* read 288x240"):
             small_config(out_width=300, out_height=240, crop_origin=(0, 0),
                          subsample_factor=2)
+        with pytest.raises(ConfigError, match="crop window 600x480 .* read 288x240"):
+            small_config(out_width=300, out_height=240, subsample_factor=2)
 
     def test_addressable_crop_window_accepted(self):
         cfg = small_config(out_width=320, out_height=240, crop_origin=(64, 32),
@@ -242,21 +244,36 @@ class TestSynthesizeSequence:
         with pytest.raises(RangeError):
             synthesize_sequence(PARAMETER_SETS[6], "warp", 3)
 
-    @pytest.mark.parametrize("set_id", [5, 7])
+    # Sub-sampled configs are run in both readout modes; the last two
+    # configs have no crop keys, so they record the window at (0, 0).
+    WINDOWS = {
+        "5": PARAMETER_SETS[5],
+        "7": PARAMETER_SETS[7],
+        "3": PARAMETER_SETS[3],
+        "160x120": small_config(),
+        "320x240-2x": small_config(out_width=320, out_height=240, subsample_factor=2),
+    }
+
+    @pytest.mark.parametrize("config", list(WINDOWS.values()), ids=list(WINDOWS))
     @pytest.mark.parametrize("scenario", ["translate-easy", "rotate", "still"])
-    def test_binned_readout_matches_the_frontend(self, set_id, scenario):
-        decimated = PARAMETER_SETS[set_id]
-        binned = replace(decimated, subsample_mode="bin")
-        full = replace(decimated, out_width=FULL_WIDTH, out_height=FULL_HEIGHT,
-                       subsample_factor=1)
-        frames, gt = synthesize_sequence(binned, scenario, 3, seed=3)
+    def test_binned_readout_matches_the_frontend(self, config, scenario):
+        full = replace(config, out_width=FULL_WIDTH, out_height=FULL_HEIGHT,
+                       crop_origin=(0, 0), subsample_factor=1)
         full_frames, _ = synthesize_sequence(full, scenario, 3, seed=3)
-        strided, strided_gt = synthesize_sequence(decimated, scenario, 3, seed=3)
-        assert gt == strided_gt
-        for frame, full_frame, strided_frame in zip(frames, full_frames, strided):
-            expected = frontend_apply(full_frame, binned)
-            assert np.array_equal(frame.pixels, expected.pixels)
-            assert not np.array_equal(frame.pixels, strided_frame.pixels)
+        modes = ("decimate", "bin") if config.subsample_factor > 1 else ("decimate",)
+        readouts = []
+        for mode in modes:
+            recorded = replace(config, subsample_mode=mode)
+            frames, gt = synthesize_sequence(recorded, scenario, 3, seed=3)
+            for frame, full_frame in zip(frames, full_frames):
+                expected = frontend_apply(full_frame, recorded)
+                assert np.array_equal(frame.pixels, expected.pixels)
+            readouts.append((frames, gt))
+        if len(readouts) == 2:
+            (strided, strided_gt), (binned, gt) = readouts
+            assert gt == strided_gt
+            for frame, strided_frame in zip(binned, strided):
+                assert not np.array_equal(frame.pixels, strided_frame.pixels)
 
     @pytest.mark.parametrize("duration", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_duration_rejected(self, duration):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowcam.errors import CoverageError, FrameSizeError, RangeError
+from flowcam.errors import CoverageError, FlowcamError, FrameSizeError, RangeError
 from flowcam.feature_engine import detect_fast
 from flowcam.pipeline import PARAMETER_SETS
 from flowcam.scene_synth import (
@@ -24,7 +24,7 @@ from flowcam.scene_synth import (
     render_sequence,
     save_sequence,
 )
-from flowcam.sensor_frontend import Frame, subsample
+from flowcam.sensor_frontend import Frame, subsample, write_pgm
 from oracles import ground_truth_flow, render_reference, wheel_reference
 
 
@@ -377,3 +377,20 @@ class TestSequenceIo:
         assert "n_frames=3" in lines
         assert (tmp_path / "seq" / "frame_000001.pgm").exists()
         assert (tmp_path / "seq" / "ground_truth.csv").exists()
+
+    def test_frames_load_in_number_order(self, tmp_path):
+        for n in (10, 2, 1):
+            write_pgm(Frame(np.full((4, 4), n, dtype=np.uint8)), tmp_path / f"frame_{n}.pgm")
+        assert [frame.pixels[0, 0] for frame in load_sequence(tmp_path)] == [1, 2, 10]
+
+    def test_frame_name_without_a_number_rejected(self, tmp_path):
+        for name in ("frame_1.pgm", "frame_1b.pgm"):
+            write_pgm(Frame(np.zeros((4, 4), dtype=np.uint8)), tmp_path / name)
+        with pytest.raises(FlowcamError, match=r"frame_1b\.pgm: .*frame_<digits>\.pgm"):
+            load_sequence(tmp_path)
+
+    def test_two_files_with_one_number_rejected(self, tmp_path):
+        for name in ("frame_7.pgm", "frame_007.pgm"):
+            write_pgm(Frame(np.zeros((4, 4), dtype=np.uint8)), tmp_path / name)
+        with pytest.raises(FlowcamError, match=r"frame_007\.pgm and .*frame_7\.pgm .*frame 7"):
+            load_sequence(tmp_path)

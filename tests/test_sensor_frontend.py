@@ -18,7 +18,7 @@ from flowcam.sensor_frontend import (
     subsample,
     write_pgm,
 )
-from oracles import save_config
+from oracles import bin_blocks_reference, save_config, subsample_reference
 
 
 def make_frame(width, height, seed=0):
@@ -133,6 +133,16 @@ class TestSubsample:
         out = subsample(frame, 4, "decimate")
         assert np.array_equal(out.pixels, frame.pixels[::4, ::4])
 
+    @given(width=st.integers(4, 200), height=st.integers(4, 200),
+           factor=st.sampled_from([2, 4]), mode=st.sampled_from(["decimate", "bin"]),
+           seed=st.integers(0, 3))
+    @settings(max_examples=120, deadline=None)
+    def test_non_aligned_sizes_match_crop_then_reduce(self, width, height, factor,
+                                                      mode, seed):
+        frame = make_frame(width, height, seed)
+        out = subsample(frame, factor, mode)
+        assert np.array_equal(out.pixels, subsample_reference(frame, factor, mode))
+
     def test_bad_factor_rejected(self):
         with pytest.raises(ConfigError):
             subsample(make_frame(64, 64), 3, "bin")
@@ -171,6 +181,14 @@ class TestDownscaleForOf:
             assert scale == 1
             again, scale2 = downscale_for_of(once)
             assert scale2 == 1 and np.array_equal(again.pixels, once.pixels)
+
+    @pytest.mark.parametrize("w, h", [(701, 481), (700, 481), (701, 480), (1123, 1365)])
+    def test_odd_size_bins_the_even_top_left_crop(self, w, h):
+        frame = make_frame(w, h, seed=h)
+        out, scale = downscale_for_of(frame)
+        even = crop(frame, (0, 0), (w // 2 * 2, h // 2 * 2))
+        assert scale == 2
+        assert np.array_equal(out.pixels, bin_blocks_reference(even.pixels, 2))
 
     def test_binning_used_not_decimation(self):
         pixels = np.zeros((700, 700), dtype=np.uint8)
