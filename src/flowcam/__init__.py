@@ -37,7 +37,7 @@ from .track_analyzer import (
     redetect,
     traveled_distance,
 )
-from .wire_format import decode, encode, read_ofv, write_ofv
+from .wire_format import VectorTable, encode, read_ofv, write_ofv
 
 __version__ = "0.1.0"
 
@@ -53,10 +53,10 @@ __all__ = [
     "TextureSpec",
     "TrackSet",
     "VectorBatch",
+    "VectorTable",
     "accuracy_metrics",
     "analyze",
     "crop",
-    "decode",
     "detect_fast",
     "downscale_for_of",
     "encode",

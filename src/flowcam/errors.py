@@ -26,7 +26,8 @@ class MarginError(FlowcamError):
 
 
 class EncodingError(FlowcamError):
-    """Vector field out of range for the wire format."""
+    """Vectors the wire format cannot carry: a field out of range, or a table
+    whose rows are not int16 records."""
 
 
 class FramingError(FlowcamError):

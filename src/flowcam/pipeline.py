@@ -46,7 +46,7 @@ from .track_analyzer import (
     write_ground_truth_csv,
     written_ground_truth,
 )
-from .wire_format import encode, write_ofv
+from .wire_format import VectorTable, encode, write_ofv
 
 INITIAL_THRESHOLD = 20
 
@@ -118,7 +118,6 @@ class RunReport:
     of_width: int
     of_height: int
     of_scale: int
-    payloads: list[bytes]  # per-frame wire payloads, written to the .ofv as is
     summary: dict = field(default_factory=dict)
     hw_reference: float | None = None
     hw_model_fps: float | None = None
@@ -164,21 +163,19 @@ def run_pipeline(
     config: SensorConfig,
     frames: list[Frame],
     initial_threshold: int = INITIAL_THRESHOLD,
-) -> tuple[list[VectorBatch], RunReport]:
+) -> tuple[VectorTable, RunReport]:
     """Run the full per-frame pipeline over a frame sequence.
 
-    Returns the flow vectors per frame (entry t holds vectors from frame t-1
-    to t; entry 0 is empty) and a report with one `PER_FRAME` row and the
-    encoded payload of each frame. The controller consumes the post-cap
-    descriptor count and updates once per frame; frame 0 only seeds
-    features.
+    Returns the run's wire records (frame t holds the vectors from frame t-1
+    to t; frame 0 is empty) and a report with one `PER_FRAME` row per frame.
+    The controller consumes the post-cap descriptor count and updates once
+    per frame; frame 0 only seeds features.
     """
     if len(frames) < 2:
         raise ConfigError("need at least 2 frames")
     threshold = initial_threshold
     per_frame = np.zeros(len(frames), PER_FRAME)
-    per_frame_vectors: list[VectorBatch] = []
-    payloads: list[bytes] = []
+    records: list[np.ndarray] = []
     prev_features = None
     of_size = None
 
@@ -199,13 +196,12 @@ def run_pipeline(
             vectors = match_features(prev_features, features, config.max_displacement)
             vectors = ratio_filter(vectors, config.ratio_threshold)
         t4 = time.perf_counter_ns()
-        payloads.append(encode(vectors))
+        records.append(encode(vectors))
         t5 = time.perf_counter_ns()
 
         per_frame[t] = (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4,
                         threshold, produced, len(vectors))
         threshold = update_threshold(threshold, produced, config.brief_target)
-        per_frame_vectors.append(vectors)
         prev_features = features
         of_size = (of_frame.width, of_frame.height, scale)
 
@@ -214,9 +210,8 @@ def run_pipeline(
         of_width=of_size[0],
         of_height=of_size[1],
         of_scale=of_size[2],
-        payloads=payloads,
     )
-    return per_frame_vectors, report
+    return VectorTable.from_frames(records), report
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +307,7 @@ def run_parameter_set(
     omega_deg_frame: float = DEFAULT_OMEGA_DEG_FRAME,
     zoom_rate_frame: float = DEFAULT_ZOOM_RATE_FRAME,
     initial_threshold: int = INITIAL_THRESHOLD,
-) -> tuple[list[VectorBatch], RunReport]:
+) -> tuple[VectorTable, RunReport]:
     """Generate the benchmark sequence for one built-in set and run it."""
     if set_id not in PARAMETER_SETS:
         raise RangeError(f"parameter set must be 1..7, got {set_id}")
@@ -329,7 +324,7 @@ def run_parameter_set(
 
 
 def finalize_report(
-    per_frame_vectors: list[VectorBatch],
+    vectors: VectorTable,
     report: RunReport,
     ground_truth: list[tuple[float, float]] | None,
     out_dir: str | Path | None,
@@ -338,19 +333,19 @@ def finalize_report(
     """Attach the analysis summary to a report and write output files.
 
     Writes `<name>.ofv`, the analysis CSVs and, with ground truth,
-    `<name>_gt.csv`. The .ofv stream holds the payloads `run_pipeline`
-    encoded into `report`; the analysis reads the ground truth as
-    `<name>_gt.csv` holds it, so `flowcam report` reproduces it.
+    `<name>_gt.csv`. The .ofv stream holds the records `run_pipeline`
+    returned; the analysis reads the ground truth as `<name>_gt.csv` holds
+    it, so `flowcam report` reproduces it.
     """
     if ground_truth is not None:
         ground_truth = written_ground_truth(ground_truth)
-    analysis = analyze(per_frame_vectors, ground_truth)
+    analysis = analyze(vectors, ground_truth)
     report.summary.update(analysis.summary)
     if out_dir is None:
         return
     out_dir = Path(out_dir)
     write_analysis(analysis, ground_truth, out_dir, name)
-    write_ofv(out_dir / f"{name}.ofv", report.of_width, report.of_height, report.payloads)
+    write_ofv(out_dir / f"{name}.ofv", report.of_width, report.of_height, vectors)
     if ground_truth is not None:
         write_ground_truth_csv(out_dir / f"{name}_gt.csv", ground_truth)
 

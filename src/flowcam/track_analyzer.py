@@ -19,11 +19,15 @@ import numpy as np
 
 from .errors import AlignmentError, FlowcamError, RangeError
 from .matcher import VectorBatch
+from .wire_format import VectorTable
 
 # Default re-detection window: frames a track may vanish for, and how far
 # (Chebyshev, px) its reappearance may lie from where it vanished.
 REDETECT_MAX_GAP = 4
 REDETECT_RADIUS = 1
+# Bytes of probe arrays `_candidate_table` holds at once; a wide radius
+# probes its track ends in chunks that fit.
+_PROBE_BYTES = 4 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,18 +74,18 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
 def _point_keys(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """One int64 per (x, y), equal exactly when both coordinates are.
 
-    Injective for coordinates in [-2**31, 2**31): a decoded stream's unsigned
-    16-bit positions plus signed 16-bit displacements lie well inside. Keys
+    Injective for int64 coordinates in [-2**31, 2**31): a stream's positions
+    below 2048 plus signed 16-bit displacements lie well inside. Keys
     ascend in row-major order, the order the matcher emits tails in, so the
     stable sorts below mostly meet presorted runs.
     """
     return y * (1 << 32) + x
 
 
-def link_tracks(per_frame_vectors: list[VectorBatch]) -> TrackSet:
+def link_tracks(per_frame_vectors: VectorTable) -> TrackSet:
     """Chain flow vectors into tracks.
 
-    Entry t of the input holds the vectors from frame t-1 to frame t (entry 0
+    Frame t of the input holds the vectors from frame t-1 to frame t (frame 0
     is normally empty). A vector extends the track whose last point is exactly
     its previous-frame position; otherwise it starts a new two-point track.
     When two tracks converge on the same point, the older one (the earlier
@@ -95,7 +99,8 @@ def link_tracks(per_frame_vectors: list[VectorBatch]) -> TrackSet:
     head_keys = head_ids = np.empty(0, dtype=np.int64)
     n_tracks = 0
     for t, vectors in enumerate(per_frame_vectors):
-        x, y, dx, dy = vectors.rows[:, :4].T
+        # Wire records are int16: x + dx and the point keys need int64.
+        x, y, dx, dy = vectors.rows.astype(np.int64).T[:4]
         hx, hy = x + dx, y + dy
         tid = np.full(x.size, -1, dtype=np.int64)
         tails, first = np.unique(_point_keys(x, y), return_index=True)
@@ -143,8 +148,9 @@ def _candidate_table(
     stays below 2**63 for any stream the wire format can carry). The starts
     within `radius` in x of a probed (frame, y) are one run of the sorted
     start keys; the probes of all (frame, y) offsets are bounded with two
-    `searchsorted` calls over the ends in key order, so each offset's
-    probes arrive sorted.
+    `searchsorted` calls over a chunk of the ends in key order, so each
+    offset's probes arrive sorted. Chunks keep the probe arrays within
+    `_PROBE_BYTES`; the final sort orders the pairs whatever the chunking.
     """
     n = ids.size
     both = np.concatenate((starts, ends))
@@ -164,15 +170,22 @@ def _candidate_table(
     start_keys = keys(starts)[start_order]
     end_keys = keys(ends)
     end_order = np.argsort(end_keys, kind="stable")
-    window = (end_keys[end_order] + probe).ravel()
-    lo = np.searchsorted(start_keys, window, side="left")
-    window += 2 * radius
-    counts = np.searchsorted(start_keys, window, side="right")
-    counts -= lo
-    hit = np.flatnonzero(counts)
-    counts = counts[hit]
-    rank = _segment_gather(lo[hit], counts)  # position among the sorted starts
-    end = np.repeat(end_order[hit % n], counts)
+    # window, lo, counts and hit take 8 bytes a probe each
+    step = max(1, _PROBE_BYTES // (32 * max(probe.size, 1)))
+    ranks, pair_ends = [], []
+    for i in range(0, n, step):
+        chunk = end_order[i : i + step]
+        window = (end_keys[chunk] + probe).ravel()
+        lo = np.searchsorted(start_keys, window, side="left")
+        window += 2 * radius
+        counts = np.searchsorted(start_keys, window, side="right")
+        counts -= lo
+        hit = np.flatnonzero(counts)
+        counts = counts[hit]
+        ranks.append(_segment_gather(lo[hit], counts))  # position among the sorted starts
+        pair_ends.append(np.repeat(chunk[hit % chunk.size], counts))
+    rank = np.concatenate(ranks)
+    end = np.concatenate(pair_ends)
     cand = start_order[rank]
     cheb = np.abs(starts[cand, 1:] - ends[end, 1:]).max(axis=1)
     best = np.lexsort((rank, cheb, starts[cand, 0], end))
@@ -268,7 +281,7 @@ def mean_flow(vectors: VectorBatch) -> tuple[float, float] | None:
     n = len(vectors)
     if not n:
         return None
-    dx, dy = vectors.rows[:, 2:4].sum(axis=0).tolist()
+    dx, dy = int(vectors.rows[:, 2].sum()), int(vectors.rows[:, 3].sum())
     return (dx / n, dy / n)
 
 
@@ -354,7 +367,7 @@ class Analysis:
 
 
 def analyze(
-    per_frame_vectors: list[VectorBatch],
+    per_frame_vectors: VectorTable,
     ground_truth: list[tuple[float, float]] | None = None,
     max_gap: int = REDETECT_MAX_GAP,
     radius: int = REDETECT_RADIUS,

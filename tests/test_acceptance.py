@@ -25,7 +25,7 @@ from flowcam.pipeline import (
 from flowcam.scene_synth import MotionSpec, TextureSpec, generate_texture, render_sequence
 from flowcam.sensor_frontend import SensorConfig, max_frame_rate, of_scale
 from flowcam.track_analyzer import link_tracks, mean_flow, redetect, track_stats, traveled_distance
-from flowcam.wire_format import LINE_BYTES, decode, encode
+from flowcam.wire_format import LINE_BYTES, VectorTable, encode, read_ofv, write_ofv
 from flowcam.matcher import VectorBatch
 from oracles import feature_set, match_features_bruteforce
 
@@ -194,25 +194,36 @@ def test_criterion_08_matcher_oracle_equivalence():
     )
 
 
-def test_criterion_09_wire_round_trip():
+def test_criterion_09_wire_round_trip(tmp_path):
     rng = np.random.default_rng(99)
-    cases = 0
+    batches = []
     for _ in range(1000):
         n = int(rng.integers(0, 2049))
         best = rng.integers(0, 257, size=n)
         second = np.maximum(best, rng.integers(0, 257, size=n))
-        vectors = VectorBatch(np.stack([
+        batches.append(VectorBatch(np.stack([
             rng.integers(0, 2048, size=n), rng.integers(0, 2048, size=n),
             rng.integers(-2048, 2049, size=n), rng.integers(-2048, 2049, size=n),
             best, second,
-        ], axis=1))
-        data = encode(vectors)
-        assert len(data) == -(-n // 16) * LINE_BYTES
-        if n % 16:
-            padding = data[n * 12 :]
-            assert padding == b"\xff" * len(padding)
-        assert decode(data) == vectors
+        ], axis=1)))
+    # Each batch is one frame block of a 1000-frame stream.
+    path = tmp_path / "c9.ofv"
+    write_ofv(path, 640, 480, VectorTable.from_frames([encode(v) for v in batches]))
+    data = path.read_bytes()
+    _, _, back = read_ofv(path)
+    assert len(back) == len(batches)
+    cases, pos = 0, 16
+    for vectors, got in zip(batches, back):
+        n = len(vectors)
+        n_lines = int.from_bytes(data[pos : pos + 4], "little")
+        block = data[pos + 4 : pos + 4 + n_lines * LINE_BYTES]
+        assert len(block) == -(-n // 16) * LINE_BYTES
+        padding = block[n * 12 :]
+        assert padding == b"\xff" * len(padding)
+        assert got == vectors
+        pos += 4 + len(block)
         cases += 1
+    assert pos == len(data)
     report_line(
         9, cases == 1000,
         f"{cases} randomized round trips exact, lengths ceil(n/16)*192, "

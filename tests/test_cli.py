@@ -10,7 +10,7 @@ from flowcam.cli import main
 from flowcam.matcher import VectorBatch
 from flowcam.pipeline import PARAMETER_SETS
 from flowcam.sensor_frontend import Frame, write_pgm
-from flowcam.wire_format import encode, write_ofv
+from flowcam.wire_format import VectorTable, encode, write_ofv
 from oracles import save_config
 
 CLI = [sys.executable, "-m", "flowcam.cli"]
@@ -134,6 +134,14 @@ class TestTracksAndBench:
         assert "tracks" in proc.stdout
         assert (tmp_path / "tr" / "tracks_summary.csv").exists()
 
+    @pytest.mark.parametrize("frames", [0, 3])
+    def test_tracks_of_a_stream_without_vectors(self, capsys, tmp_path, frames):
+        # No frames at all, or frames whose blocks hold no lines.
+        ofv = tmp_path / "s.ofv"
+        ofv.write_bytes(b"OFV1" + bytes(8) + frames.to_bytes(4, "little") + bytes(4 * frames))
+        assert main(["tracks", "--ofv", str(ofv)]) == 0
+        assert capsys.readouterr().out.startswith(f"{ofv}: {frames} frames (0x0), 0 tracks")
+
     def test_bench_prints_reference(self, tmp_path):
         proc = run_cli("bench", "--param-set", 6, "--frames", 50)
         assert "us/frame" in proc.stdout
@@ -181,7 +189,7 @@ class TestErrors:
     @pytest.mark.parametrize("bad_row", ["1,0.5", "1,fast,0.0"])
     def test_bad_ground_truth_csv(self, tmp_path, bad_row):
         ofv = tmp_path / "s.ofv"
-        write_ofv(ofv, 16, 16, [b"", b""])
+        write_ofv(ofv, 16, 16, VectorTable.from_frames([np.empty((0, 6), "<i2")] * 2))
         gt = tmp_path / "gt.csv"
         gt.write_text(f"frame,gt_dx,gt_dy\n0,0.0,0.0\n{bad_row}\n")
         proc = run_cli("report", "--ofv", ofv, "--gt", gt, "--out", tmp_path / "r",
@@ -272,8 +280,8 @@ class TestTypedInputErrors:
         # A track that vanishes for one frame, so there is something to re-detect.
         rows = [[], [[4, 4, 1, 0, 0, 256]], [], [[6, 4, 1, 0, 0, 256]]]
         ofv = tmp_path / "s.ofv"
-        write_ofv(ofv, 16, 16, [encode(VectorBatch(np.array(r, dtype=np.int64).reshape(-1, 6)))
-                                for r in rows])
+        write_ofv(ofv, 16, 16, VectorTable.from_frames(
+            [encode(VectorBatch(np.array(r, dtype=np.int64).reshape(-1, 6))) for r in rows]))
         gt = tmp_path / "gt.csv"
         gt.write_text("frame,gt_dx,gt_dy\n" + "".join(f"{i},1.0,0.0\n" for i in range(4)))
         extra = ["--gt", gt, "--out", tmp_path / "r"] if command == "report" else []

@@ -15,13 +15,13 @@ import csv
 import types
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import flowcam.pipeline as pipeline
 from flowcam.cli import main
 from flowcam.matcher import VectorBatch
 from flowcam.pipeline import PARAMETER_SETS, finalize_report, run_pipeline, synthesize_sequence
+from flowcam.wire_format import VectorTable
 
 CHECKS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
 CONFIG = PARAMETER_SETS[6]
@@ -146,8 +146,10 @@ def test_repeated_runs_compare_equal(translate):
     equal = vectors[-1] == again[-1]
     assert type(equal) is bool and equal
     assert not (again != vectors)
-    shifted = VectorBatch(np.roll(again[-1].rows, 1, axis=0))
-    assert again[:-1] + [shifted] != vectors
+    assert len(again[-1]) > 0
+    rows = again.rows.copy()
+    rows[-1, 2] += 1  # the last record of the last frame
+    assert VectorTable(rows, again.offsets) != vectors
 
 
 def test_frames_are_pulled_one_at_a_time(translate):

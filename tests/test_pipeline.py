@@ -26,7 +26,7 @@ from flowcam.sensor_frontend import (
     load_config,
     of_scale,
 )
-from flowcam.wire_format import encode, read_ofv
+from flowcam.wire_format import read_ofv
 from oracles import save_config
 
 
@@ -188,8 +188,9 @@ class TestRunPipeline:
 
     def test_stream_is_the_encoded_payloads(self, tmp_path):
         vectors, report = run_pipeline(small_config(), still_frames(3))
-        assert report.payloads == [encode(v) for v in vectors]
-        assert len(report.payloads[1]) > 0
+        assert vectors.rows.dtype.str == "<i2"
+        assert vectors.offsets.tolist() == [0, *np.cumsum(report.per_frame["emitted"])]
+        assert len(vectors[1]) > 0
         finalize_report(vectors, report, None, tmp_path, name="s")
         _, _, back = read_ofv(tmp_path / "s.ofv")
         assert back == vectors
@@ -217,7 +218,7 @@ class TestRunPipeline:
         vectors, report = run_parameter_set(
             3, "translate-easy", 0.0, n_frames=80, seed=0, speed_px_s=420.0
         )
-        flows = [mean_flow(v) for v in vectors[21:]]
+        flows = [mean_flow(v) for v in list(vectors)[21:]]
         assert all(f is not None for f in flows)
         assert all(abs(f[0] - 3.0) <= 0.25 and abs(f[1]) <= 0.25 for f in flows)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from flowcam import track_analyzer
 from flowcam.errors import AlignmentError, FlowcamError, RangeError
 from flowcam.matcher import FlowVector
 from flowcam.pipeline import PARAMETER_SETS, run_pipeline, synthesize_sequence
@@ -23,6 +24,7 @@ from flowcam.track_analyzer import (
     write_analysis,
     write_ground_truth_csv,
 )
+from flowcam.wire_format import VectorTable, encode
 from oracles import (
     Track,
     link_tracks_reference,
@@ -230,7 +232,7 @@ MERGE_CHAIN = [
 
 
 class TestRedetectOracle:
-    @given(track_sets(), st.integers(1, 5), st.integers(0, 3))
+    @given(track_sets(), st.integers(1, 5), st.integers(0, 60))
     @example(SHARED_STARTS, 2, 1)
     @example(CHEB_SY_SX_TIES, 2, 1)
     @example(MERGE_CHAIN, 2, 1)
@@ -260,6 +262,17 @@ class TestRedetectOracle:
         assert (as_tuples(track_records(redetect(rotate_tracks, max_gap, radius)))
                 == as_tuples(expected))
         assert sum(len(t.gaps) for t in expected) > 0
+
+    @pytest.mark.parametrize("budget", [1, 1 << 16])
+    def test_chunked_probes_match_full_scan(self, monkeypatch, rotate_tracks, budget):
+        # At max_gap 4 and radius 5 an end takes 4 * 11 probes of 32 bytes, so
+        # a 1-byte budget probes one end per chunk and 64 KiB 46 ends; the
+        # rotate run's ends span many chunks either way.
+        assert len(rotate_tracks) >= 3 * 46
+        monkeypatch.setattr(track_analyzer, "_PROBE_BYTES", budget)
+        expected = redetect_reference(list(track_records(rotate_tracks)), 4, 5)
+        assert (as_tuples(track_records(redetect(rotate_tracks, 4, 5)))
+                == as_tuples(expected))
 
     @pytest.mark.parametrize("max_gap,radius", [(0, 1), (1, -1), (4, -2)])
     def test_window_out_of_range(self, max_gap, radius):
@@ -312,6 +325,15 @@ class TestLinkOracle:
         assert first.points == [(-1, 65535, 0), (0, 32768, 32767), (1, 65535, 0),
                                 (2, 65535, 0)]
         assert second.points == [(1, 0, 65535), (2, 0, 65535)]
+
+    def test_int16_table_links_like_int64_batches(self):
+        # Heads at 2047 + 32767 leave int16, so linking widens the records.
+        per_frame = [[vec(2047, 0, 32767, -32768)], [vec(0, 2047, 2047, 0)],
+                     [vec(2047, 2047, -2047, -2047)]]
+        table = VectorTable.from_frames([encode(b) for b in batches(per_frame)])
+        assert table.rows.dtype.str == "<i2"
+        assert link_tracks(table) == link_tracks(batches(per_frame))
+        assert len(link_tracks(table)) == 2
 
 
 @pytest.fixture(scope="module", params=[(1, "still", 6), (3, "rotate", 24),

@@ -7,9 +7,10 @@ from flowcam.errors import EncodingError, FlowcamError, FramingError, PayloadErr
 from flowcam.matcher import FlowVector, VectorBatch
 from flowcam.wire_format import (
     LINE_BYTES,
+    OFV_MAGIC,
     SENTINEL_FIELD,
     VECTORS_PER_LINE,
-    decode,
+    VectorTable,
     encode,
     read_ofv,
     write_ofv,
@@ -54,14 +55,35 @@ def batch_strategy(draw):
     return VectorBatch(np.hstack([rows, np.array(scores, dtype=np.int64).reshape(-1, 2)]))
 
 
-def encode_records(vectors):
-    return encode(vector_batch(vectors))
+def table(per_frame):
+    """Per-frame record lists or batches as the table `write_ofv` takes."""
+    return VectorTable.from_frames(
+        [encode(v if isinstance(v, VectorBatch) else vector_batch(v)) for v in per_frame])
+
+
+def block(path, vectors):
+    """The frame block a one-frame stream carries for `vectors`: whole lines
+    of records padded with sentinels, after the header and line count."""
+    write_ofv(path, 64, 64, table([vectors]))
+    return path.read_bytes()[20:]
+
+
+def read_block(path, payload):
+    """The one frame `read_ofv` reads from a stream whose only block is
+    `payload`, counted as the lines it starts."""
+    n_lines = -(-len(payload) // LINE_BYTES)
+    path.write_bytes(OFV_MAGIC + bytes(8) + (1).to_bytes(4, "little")
+                     + n_lines.to_bytes(4, "little") + payload)
+    [vectors] = read_ofv(path)[2]
+    return vectors
+
 
 # Malformed payloads: raw bytes, or whole lines of records whose fields sit at
-# the edges (score limit, sign bit, sentinel), with sentinel records anywhere.
+# the edges (coordinate limit, score limit, sign bit, sentinel), with sentinel
+# records anywhere.
 record_strategy = st.one_of(
     st.just(b"\xff" * 12),
-    st.lists(st.sampled_from([0, 7, 256, 257, 0x8000, SENTINEL_FIELD]),
+    st.lists(st.sampled_from([0, 7, 256, 257, 2047, 2048, 0x8000, SENTINEL_FIELD]),
              min_size=6, max_size=6).map(lambda f: np.array(f, dtype="<u2").tobytes()),
 )
 payload_strategy = st.one_of(
@@ -72,22 +94,26 @@ payload_strategy = st.one_of(
         max_size=3,
     ).map(b"".join),
 )
+# Each example rewrites the same file, so sharing tmp_path is harmless.
+SHARED_TMP = [HealthCheck.function_scoped_fixture]
 
 
 class TestEncode:
-    def test_empty_stream(self):
-        assert encode_records([]) == b""
+    def test_empty_stream(self, tmp_path):
+        assert block(tmp_path / "s.ofv", []) == b""
 
-    def test_twenty_vectors_two_lines(self):
+    def test_twenty_vectors_two_lines(self, tmp_path):
         rng = np.random.default_rng(0)
-        data = encode_records(random_vectors(rng, 20))
+        data = block(tmp_path / "s.ofv", random_vectors(rng, 20))
         assert len(data) == 384
         # trailing 12 records of the second line are sentinels
         assert data[-12 * 12 :] == b"\xff" * 144
 
-    def test_known_byte_layout(self):
+    def test_known_byte_layout(self, tmp_path):
         v = FlowVector(5, 7, -1, 0, 3, 9)
-        data = encode_records([v])
+        records = encode(vector_batch([v]))
+        assert records.dtype.str == "<i2" and records.tolist() == [[5, 7, -1, 0, 3, 9]]
+        data = block(tmp_path / "s.ofv", [v])
         assert data[:12] == bytes(
             [0x05, 0x00, 0x07, 0x00, 0xFF, 0xFF, 0x00, 0x00, 0x03, 0x00, 0x09, 0x00]
         )
@@ -95,7 +121,7 @@ class TestEncode:
 
     def test_out_of_range_coordinate_names_field(self):
         with pytest.raises(EncodingError, match="x_prev"):
-            encode_records([FlowVector(4000, 0, 0, 0, 0, 0)])
+            encode(vector_batch([FlowVector(4000, 0, 0, 0, 0, 0)]))
 
     def test_out_of_range_score_names_field(self):
         # A batch carries no check of its own; the codec validates.
@@ -105,69 +131,88 @@ class TestEncode:
 
 
 class TestDecode:
-    def test_round_trip_twenty(self):
+    """One frame block read back by `read_ofv`."""
+
+    def test_round_trip_twenty(self, tmp_path):
         rng = np.random.default_rng(1)
         vectors = random_vectors(rng, 20)
-        assert list(decode(encode_records(vectors))) == vectors
+        path = tmp_path / "s.ofv"
+        assert list(read_block(path, block(path, vectors))) == vectors
 
-    def test_all_sentinel_line_is_empty(self):
-        assert list(decode(b"\xff" * LINE_BYTES)) == []
+    def test_all_sentinel_line_is_empty(self, tmp_path):
+        assert list(read_block(tmp_path / "s.ofv", b"\xff" * LINE_BYTES)) == []
 
-    def test_truncated_input_rejected(self):
+    def test_truncated_input_rejected(self, tmp_path):
         with pytest.raises(FramingError):
-            decode(b"\x00" * 100)
+            read_block(tmp_path / "s.ofv", b"\x00" * 100)
 
-    def test_bad_score_rejected(self):
+    def test_bad_score_rejected(self, tmp_path):
         line = bytearray(b"\xff" * LINE_BYTES)
         line[0:12] = bytes([0, 0, 0, 0, 0, 0, 0, 0, 0x2C, 0x01, 0x2C, 0x01])  # 300
         with pytest.raises(PayloadError):
-            decode(bytes(line))
+            read_block(tmp_path / "s.ofv", bytes(line))
 
     @pytest.mark.parametrize("n, sentinels, record", [
         (3, [1], 2),  # vectors 0 and 2 with a sentinel in slot 1
         (17, range(16), 16),  # an all-sentinel line before a real line
     ])
-    def test_real_record_after_sentinel_rejected(self, n, sentinels, record):
-        data = bytearray(encode_records(random_vectors(np.random.default_rng(3), n)))
+    def test_real_record_after_sentinel_rejected(self, tmp_path, n, sentinels, record):
+        path = tmp_path / "s.ofv"
+        data = bytearray(block(path, random_vectors(np.random.default_rng(3), n)))
         for i in sentinels:
             data[12 * i : 12 * i + 12] = b"\xff" * 12
         with pytest.raises(PayloadError, match=f"record {record} follows"):
-            decode(bytes(data))
+            read_block(path, bytes(data))
 
     @given(data=payload_strategy)
-    @settings(max_examples=300, deadline=None)
-    def test_only_typed_errors_escape(self, data):
+    @settings(max_examples=300, deadline=None, suppress_health_check=SHARED_TMP)
+    def test_only_typed_errors_escape(self, tmp_path, data):
         try:
-            decode(data)
+            read_block(tmp_path / "s.ofv", data)
         except FlowcamError:
             pass
 
     @given(vectors=st.lists(vector_strategy, max_size=80))
-    @settings(max_examples=250, deadline=None)
-    def test_round_trip_property(self, vectors):
-        data = encode_records(vectors)
+    @settings(max_examples=250, deadline=None, suppress_health_check=SHARED_TMP)
+    def test_round_trip_property(self, tmp_path, vectors):
+        path = tmp_path / "s.ofv"
+        data = block(path, vectors)
         n = len(vectors)
         assert len(data) == -(-n // 16) * LINE_BYTES
-        assert list(decode(data)) == vectors
+        assert list(read_block(path, data)) == vectors
 
     @given(batch=batch_strategy())
-    @settings(max_examples=250, deadline=None)
-    def test_batch_records_round_trip(self, batch):
-        """Batch -> records -> encode -> decode gives back the batch and the
-        same records; encoding the records equals encoding the batch."""
+    @settings(max_examples=250, deadline=None, suppress_health_check=SHARED_TMP)
+    def test_batch_records_round_trip(self, tmp_path, batch):
+        """Batch -> records -> write -> read gives back the batch and the
+        same records; writing the records equals writing the batch."""
+        path = tmp_path / "s.ofv"
         records = list(batch)
         assert len(records) == len(batch)
-        data = encode_records(records)
-        assert data == encode(batch)
-        back = decode(data)
+        data = block(path, records)
+        assert data == block(path, batch)
+        back = read_block(path, data)
         assert back == batch
         assert list(back) == records
 
-    def test_best_above_second_rejected(self):
+    def test_best_above_second_rejected(self, tmp_path):
         line = bytearray(b"\xff" * LINE_BYTES)
         line[0:12] = bytes([0, 0, 0, 0, 0, 0, 0, 0, 10, 0, 5, 0])
         with pytest.raises(PayloadError, match="record 0 carries scores 10/5"):
-            decode(bytes(line))
+            read_block(tmp_path / "s.ofv", bytes(line))
+
+
+def patched_stream(path, fields):
+    """A two-frame 64x64 stream whose frame-1 record 1 has its fields set as
+    `{field index: raw u2 value}`."""
+    vectors = [FlowVector(20, 20, 1, 0, 3, 9), FlowVector(30, 20, 1, 0, 3, 9)]
+    write_ofv(path, 64, 64, table([[], vectors]))
+    data = bytearray(path.read_bytes())
+    # header, frame 0's empty block, frame 1's line count, then record 1
+    at = 16 + 4 + 4 + 12
+    for field, value in fields.items():
+        data[at + 2 * field : at + 2 * field + 2] = np.array([value], dtype="<u2").tobytes()
+    path.write_bytes(bytes(data))
 
 
 class TestOfvStream:
@@ -175,31 +220,61 @@ class TestOfvStream:
         rng = np.random.default_rng(2)
         per_frame = [random_vectors(rng, int(n)) for n in rng.integers(0, 40, size=7)]
         path = tmp_path / "run.ofv"
-        write_ofv(path, 640, 480, [encode_records(v) for v in per_frame])
+        write_ofv(path, 640, 480, table(per_frame))
         width, height, back = read_ofv(path)
         assert (width, height) == (640, 480)
         assert [list(batch) for batch in back] == per_frame
-        assert back == [vector_batch(v) for v in per_frame]
+        assert list(back) == [vector_batch(v) for v in per_frame]
+        assert back == table(per_frame) and back.rows.dtype.str == "<i2"
 
     @pytest.mark.parametrize("best, second", [(10, 5), (300, 300)])
     def test_bad_scores_name_file_frame_and_record(self, tmp_path, best, second):
         path = tmp_path / "scores.ofv"
-        vectors = [FlowVector(20, 20, 1, 0, 3, 9), FlowVector(30, 20, 1, 0, 3, 9)]
-        write_ofv(path, 64, 64, [b"", encode_records(vectors)])
-        data = bytearray(path.read_bytes())
-        # header, frame 0's empty block, frame 1's line count, then record 0
-        at = 16 + 4 + 4 + 12
-        data[at + 8 : at + 12] = np.array([best, second], dtype="<u2").tobytes()
-        path.write_bytes(bytes(data))
+        patched_stream(path, {4: best, 5: second})
         with pytest.raises(PayloadError) as caught:
             read_ofv(path)
         message = str(caught.value)
         assert str(path) in message
         assert "frame 1" in message and "record 1" in message
 
-    def test_misframed_payload_not_written(self, tmp_path):
-        with pytest.raises(FramingError, match="frame 1"):
-            write_ofv(tmp_path / "bad.ofv", 64, 64, [b"", b"\x00" * 12])
+    @pytest.mark.parametrize("field, value", [(0, 40000), (0, 2048), (1, 2048)])
+    def test_far_coordinate_names_file_frame_and_record(self, tmp_path, field, value):
+        # The bound `encode` enforces; an int16 table would read 40000 as negative.
+        path = tmp_path / "far.ofv"
+        patched_stream(path, {field: value})
+        with pytest.raises(PayloadError) as caught:
+            read_ofv(path)
+        message = str(caught.value)
+        assert str(path) in message and "frame 1" in message
+        assert f"record 1 carries {('x_prev', 'y_prev')[field]} {value}" in message
+
+    def test_last_coordinate_reads(self, tmp_path):
+        path = tmp_path / "edge.ofv"
+        patched_stream(path, {0: 2047, 1: 2047})
+        assert read_ofv(path)[2][1].rows[1].tolist() == [2047, 2047, 1, 0, 3, 9]
+
+    def test_zero_frame_stream_is_an_empty_table(self, tmp_path):
+        path = tmp_path / "none.ofv"
+        path.write_bytes(b"OFV1" + bytes(12))
+        width, height, back = read_ofv(path)
+        assert (width, height, len(back)) == (0, 0, 0)
+        assert back.rows.shape == (0, 6) and back.offsets.tolist() == [0]
+        assert list(back) == []
+
+    def test_all_empty_frames(self, tmp_path):
+        path = tmp_path / "empty.ofv"
+        write_ofv(path, 64, 64, table([[], [], []]))
+        assert path.read_bytes() == (b"OFV1" + (64).to_bytes(4, "little") * 2
+                                     + (3).to_bytes(4, "little") + bytes(12))
+        _, _, back = read_ofv(path)
+        assert len(back) == 3 and back.offsets.tolist() == [0, 0, 0, 0]
+        assert [len(v) for v in back] == [0, 0, 0] and len(back[-1]) == 0
+
+    def test_table_of_wide_rows_not_written(self, tmp_path):
+        wide = VectorTable(np.array([[5, 7, -1, 0, 3, 9]], dtype=np.int64), np.array([0, 1]))
+        with pytest.raises(EncodingError, match="int64"):
+            write_ofv(tmp_path / "wide.ofv", 64, 64, wide)
+        assert not (tmp_path / "wide.ofv").exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ofv"
@@ -209,14 +284,12 @@ class TestOfvStream:
 
     def test_trailing_garbage_rejected(self, tmp_path):
         path = tmp_path / "trail.ofv"
-        write_ofv(path, 64, 64, [b""])
+        write_ofv(path, 64, 64, table([[]]))
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FramingError):
             read_ofv(path)
 
-    # Each example rewrites the same file, so sharing tmp_path is harmless.
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=300, deadline=None, suppress_health_check=SHARED_TMP)
     @given(
         header=st.one_of(
             st.binary(max_size=20),
