@@ -33,12 +33,11 @@ from .sensor_frontend import (
     Frame,
     SensorConfig,
     _bin_blocks,
-    crop,
+    _window,
     downscale_for_of,
     hardware_reference,
     max_frame_rate,
     of_scale,
-    subsample,
 )
 from .track_analyzer import (
     analyze,
@@ -146,17 +145,22 @@ def frontend_apply(frame: Frame, config: SensorConfig) -> Frame:
     """Reduce an input frame to the configured recorded geometry.
 
     Frames already at the output size pass through; from any other frame the
-    config's window is cut and sub-sampled, as `synthesize_sequence` renders it.
+    config's window is read and sub-sampled, as `synthesize_sequence` renders
+    it. The window is a view, not a copy: `SensorConfig` keeps it
+    addressable, so decimating or binning it gives what `subsample` would.
     """
     if (frame.width, frame.height) == (config.out_width, config.out_height):
         return frame
     f = config.subsample_factor
     try:
-        window = crop(frame, config.crop_origin, (config.out_width * f, config.out_height * f))
-        return subsample(window, f, config.subsample_mode) if f > 1 else window
+        window = _window(frame, config.crop_origin,
+                         (config.out_width * f, config.out_height * f))
     except BoundsError as exc:
         raise ConfigError(f"frame {frame.width}x{frame.height} cannot supply the "
                           f"configured geometry: {exc}") from exc
+    if f > 1 and config.subsample_mode == "bin":
+        return Frame(_bin_blocks(window, f))
+    return Frame(window[::f, ::f])
 
 
 def run_pipeline(

@@ -24,9 +24,9 @@ MOTION_KINDS = ("translate", "zoom", "rotate", "still")
 
 WHEEL_SECTORS = 12  # palette repeats every 3 sectors: 4-fold symmetric
 
-# Frames and the wheel texture are computed in row bands of about this
-# many pixels, so that each band's float64 temporaries stay in cache:
-# about ten of them live at once while a rotated band is sampled.
+# Frames, the wheel texture and the foliage blur are computed in row bands
+# of about this many pixels, so that each band's float64 temporaries stay
+# in cache: about ten of them live at once while a rotated band is sampled.
 _RENDER_BAND = 1 << 14
 
 
@@ -112,28 +112,50 @@ def _foliage(rng: np.random.Generator, w: int, h: int) -> np.ndarray:
 def _box_blur(img: np.ndarray, radius: int) -> None:
     """Replace `img` by its mean over a (2r+1)-square with edge padding.
 
-    A window sum is the difference of two prefix sums `size` apart; the
-    first window's is the prefix sum itself (the same bits as subtracting
-    the zero prefix). Padding copies `img`, so the result is written back
-    into it: the padded buffer is the only one allocated.
+    Works in place, in bands of about `_RENDER_BAND` pixels. With P[p] the
+    column prefix sum of the edge-padded image down to padded row p and
+    P[-1] = 0, output row i is the window sum P[i+2r] - P[i-1] over `size`,
+    then the same prefix sum and window difference along the row. `prefix`
+    row k holds P[i0-1+k] for the band from output row i0; its first `size`
+    rows carry over from the previous band. A band writes its rows after
+    reading image rows up to r below them, which no earlier band wrote. The
+    additions and divisions are those of a whole-image prefix-sum blur, in
+    the same order, so the result has the same bits.
     """
     size = 2 * radius + 1
-    padded = np.pad(img, radius, mode="edge")
-    # Column prefix sums one row at a time: the same additions in the same
-    # order as np.cumsum(axis=0), which walks each column at a row stride
-    # and is about four times slower on a large texture.
-    for i in range(1, padded.shape[0]):
-        padded[i] += padded[i - 1]
-    # Window differences in place, bottom row first, so every prefix row is
-    # read before it is overwritten.
-    for i in range(padded.shape[0] - 1, size - 1, -1):
-        padded[i] -= padded[i - size]
-    vert = padded[size - 1:]
-    vert /= size
-    np.cumsum(vert, axis=1, out=vert)
-    img[:, 0] = vert[:, size - 1]
-    np.subtract(vert[:, size:], vert[:, :-size], out=img[:, 1:])
-    img /= size
+    h, w = img.shape
+    rows = max(1, _RENDER_BAND // w)
+    prefix = np.empty((size + rows, w + 2 * radius))
+    window = np.empty((rows, w + 2 * radius))
+    prefix[0] = 0
+    lo = 1  # first prefix row the band computes
+    for i0 in range(0, h, rows):
+        n = min(rows, h - i0)
+        hi = size + n
+        # Padded rows i0-1+lo .. i0-2+hi are the image rows `radius` above
+        # them, clipped to the image (the row edge of np.pad(mode="edge")),
+        # with each row's end pixels repeated (the column edge).
+        src = np.clip(np.arange(i0 - 1 + lo, i0 - 1 + hi) - radius, 0, h - 1)
+        band = prefix[lo:hi]
+        band[:, radius : radius + w] = img[src]
+        band[:, :radius] = band[:, radius : radius + 1]
+        band[:, radius + w :] = band[:, radius + w - 1 : radius + w]
+        # Column prefix sums one row at a time: the same additions in the
+        # same order as np.cumsum(axis=0), which walks each column at a row
+        # stride and is about four times slower on a large texture. P[0] is
+        # padded row 0 itself.
+        for k in range(lo + (i0 == 0), hi):
+            prefix[k] += prefix[k - 1]
+        sums = window[:n]
+        np.subtract(prefix[size:hi], prefix[:n], out=sums)
+        sums /= size
+        np.cumsum(sums, axis=1, out=sums)
+        out = img[i0 : i0 + n]
+        out[:, 0] = sums[:, size - 1]
+        np.subtract(sums[:, size:], sums[:, :-size], out=out[:, 1:])
+        out /= size
+        prefix[:size] = prefix[n:hi]
+        lo = size
 
 
 def _wheel(rng: np.random.Generator, w: int, h: int) -> np.ndarray:
@@ -164,40 +186,49 @@ def _wheel(rng: np.random.Generator, w: int, h: int) -> np.ndarray:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _bilinear(texture: np.ndarray, sx: np.ndarray, sy: np.ndarray,
-              frame_index: int, out: np.ndarray) -> None:
-    """Sample `texture` bilinearly at (sx, sy) into the uint8 band `out`,
-    rounded half up.
+def _axis(coords: np.ndarray, n: int, frame_index: int,
+          test_pixels: bool = True) -> tuple[np.ndarray | None, ...]:
+    """The bilinear terms of sample coordinates along a texture axis of n
+    pixels: the floored corners as `intp` if `test_pixels` is set and every
+    sample lies on a pixel (None otherwise), then the corners clamped to
+    n - 2 as `intp`, the fractions from them and one minus the fractions.
 
-    sx and sy broadcast to the band's shape: a `(1, w)` row of columns and
-    an `(r, 1)` column of rows for a separable map, full bands otherwise.
-    Corners are floored and clipped in float64, the same values as int64
-    corners without mixed int/float loops, and cast to `intp` only to
-    gather from the flat texture at `y0*w + x0` and its `+1`, `+w`, `+w+1`
-    neighbours.
+    Corners are floored and clamped in float64, the same values as int64
+    corners without mixed int/float loops, and cast to `intp` only to index
+    the flat texture.
     """
-    h, w = texture.shape
     # Written so that a NaN coordinate fails the check too.
-    if not (sx.min() >= 0 and sy.min() >= 0 and sx.max() <= w - 1 and sy.max() <= h - 1):
+    if not (coords.min() >= 0 and coords.max() <= n - 1):
         raise CoverageError(
             f"frame {frame_index}: motion samples the texture outside its bounds"
         )
-    x0 = np.floor(sx)
-    y0 = np.floor(sy)
-    fx = sx - x0
-    fy = sy - y0
+    c0 = np.floor(coords)
+    frac = coords - c0
+    on_pixel = c0.astype(np.intp) if test_pixels and not frac.any() else None
+    np.minimum(c0, n - 2, out=c0)
+    np.subtract(coords, c0, out=frac)
+    corner = c0.astype(np.intp)
+    # The corners are no longer needed: their buffer takes the weights.
+    return on_pixel, corner, frac, np.subtract(1, frac, out=c0)
+
+
+def _bilinear(texture: np.ndarray, x: tuple, y: tuple, out: np.ndarray) -> None:
+    """Sample `texture` bilinearly into the uint8 band `out`, rounded half
+    up, from the `_axis` terms of its columns `x` and rows `y`.
+
+    The terms broadcast to the band's shape: a `(1, w)` row of columns and
+    an `(r, 1)` column of rows for a separable map, full bands otherwise.
+    The texture is gathered flat at `y0*w + x0` and its `+1`, `+w`, `+w+1`
+    neighbours.
+    """
+    w = texture.shape[1]
     flat = texture.ravel()
-    if not fx.any() and not fy.any():
-        out[...] = flat[y0.astype(np.intp) * w + x0.astype(np.intp)]
+    x_on, x0, fx, gx = x
+    y_on, y0, fy, gy = y
+    if x_on is not None and y_on is not None:
+        out[...] = flat[y_on * w + x_on]
         return
-    np.minimum(x0, w - 2, out=x0)
-    np.minimum(y0, h - 2, out=y0)
-    np.subtract(sx, x0, out=fx)
-    np.subtract(sy, y0, out=fy)
-    idx = y0.astype(np.intp) * w + x0.astype(np.intp)
-    # The corners are no longer needed: their buffers take the weights.
-    gx = np.subtract(1, fx, out=x0)
-    gy = np.subtract(1, fy, out=y0)
+    idx = y0 * w + x0
     # The float64 weights promote the gathered corners exactly; converting
     # the whole texture instead would copy it once per rendered frame. The
     # sum keeps the order T00*gx*gy + T01*fx*gy + T10*gx*fy + T11*fx*fy.
@@ -223,12 +254,11 @@ def _sample_coords(
     rows: np.ndarray,
     center_tex: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Texture sample coordinates of one band of frame t.
+    """Texture sample coordinates of some rows of frame t.
 
-    `cols` is the `(1, w)` row of frame-0 texture columns and `rows` the
-    `(r, 1)` column of the band's frame-0 texture rows. Translate and zoom
-    maps are separable and keep those shapes; rotate broadcasts them to a
-    full band.
+    `cols` is the `(1, w)` row of frame-0 texture columns and `rows` an
+    `(r, 1)` column of frame-0 texture rows. Translate and zoom maps are
+    separable and keep those shapes; rotate broadcasts them to a full band.
     """
     if t == 0:
         return cols, rows
@@ -256,12 +286,30 @@ def _render_frame(
     center_tex: tuple[float, float],
 ) -> np.ndarray:
     """Frame t as one row-major uint8 buffer, sampled in row bands of
-    about `_RENDER_BAND` pixels."""
+    about `_RENDER_BAND` pixels.
+
+    A separable map's column terms are the same for every band, so they are
+    computed once per frame; a rotation samples each band's full grid.
+    """
+    h, w = texture.shape
     pixels = np.empty((rows.shape[0], cols.shape[1]), dtype=np.uint8)
     band = max(1, _RENDER_BAND // cols.shape[1])
+    if motion.kind == "rotate" and t != 0:
+        for r0 in range(0, rows.shape[0], band):
+            sx, sy = _sample_coords(motion, t, cols, rows[r0 : r0 + band], center_tex)
+            x = _axis(sx, w, t)
+            y = _axis(sy, h, t, x[0] is not None)
+            # A rotated band's coordinates and terms are band-sized: drop
+            # each as soon as it is used, not when the next band rebinds it.
+            del sx, sy
+            _bilinear(texture, x, y, pixels[r0 : r0 + band])
+            del x, y
+        return pixels
+    sx, sy = _sample_coords(motion, t, cols, rows, center_tex)
+    x = _axis(sx, w, t)
     for r0 in range(0, rows.shape[0], band):
-        sx, sy = _sample_coords(motion, t, cols, rows[r0 : r0 + band], center_tex)
-        _bilinear(texture, sx, sy, t, pixels[r0 : r0 + band])
+        y = _axis(sy[r0 : r0 + band], h, t, x[0] is not None)
+        _bilinear(texture, x, y, pixels[r0 : r0 + band])
     return pixels
 
 

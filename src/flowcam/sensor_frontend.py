@@ -72,7 +72,8 @@ class SensorConfig:
     """One camera setting: geometry, rate and feature-engine budgets.
 
     It records the window at `crop_origin` of `subsample_factor` times the
-    output size; synthesis renders that window and `frontend_apply` cuts it.
+    output size, which must lie inside the sensor's array; synthesis renders
+    that window and `frontend_apply` cuts it.
     """
 
     out_width: int
@@ -120,6 +121,11 @@ class SensorConfig:
                 f"would read {read[0] // f}x{read[1] // f}, not "
                 f"{self.out_width}x{self.out_height}"
             )
+        if cx + window[0] > FULL_WIDTH or cy + window[1] > FULL_HEIGHT:
+            raise ConfigError(
+                f"window {window[0]}x{window[1]} at ({cx}, {cy}) leaves the "
+                f"{FULL_WIDTH}x{FULL_HEIGHT} sensor array"
+            )
 
 
 # Datasheet operating points: (frame height, vector budget) -> achievable fps.
@@ -139,6 +145,11 @@ _GRID_VECTORS = sorted({v for _, v in _GRID_FPS})
 
 def crop(frame: Frame, origin: tuple[int, int], size: tuple[int, int]) -> Frame:
     """Extract the axis-aligned window at `origin` with the given size."""
+    return Frame(_window(frame, origin, size).copy())
+
+
+def _window(frame: Frame, origin: tuple[int, int], size: tuple[int, int]) -> np.ndarray:
+    """A view of the window at `origin` with the given size, bounds-checked."""
     ox, oy = origin
     w, h = size
     if ox < 0 or oy < 0:
@@ -149,7 +160,7 @@ def crop(frame: Frame, origin: tuple[int, int], size: tuple[int, int]) -> Frame:
         raise BoundsError(f"crop x extent {ox}+{w} exceeds frame width {frame.width}")
     if oy + h > frame.height:
         raise BoundsError(f"crop y extent {oy}+{h} exceeds frame height {frame.height}")
-    return Frame(frame.pixels[oy : oy + h, ox : ox + w].copy())
+    return frame.pixels[oy : oy + h, ox : ox + w]
 
 
 def _addressable(dim: int, factor: int) -> int:

@@ -8,8 +8,9 @@ converters at the top turn record lists into the batch types and back. The
 closed-form flow of a motion, the config-file writer that `load_config`
 is round-tripped against, sub-sampling and 2x binning as a copying crop
 followed by a reshaped block mean, a scene renderer that samples full 2-D
-coordinate grids for every frame, and the sector wheel texture computed on
-the whole grid at once follow.
+coordinate grids for every frame, the sector wheel texture computed on
+the whole grid at once, and the foliage texture blurred through one
+edge-padded copy of the whole noise field follow.
 """
 
 import heapq
@@ -434,3 +435,44 @@ def wheel_reference(rng, w, h):
     theta /= 2 * math.pi / WHEEL_SECTORS
     sector = np.floor(theta).astype(np.int64)
     return palette[sector % WHEEL_SECTORS % 3]
+
+
+def foliage_reference(rng, w, h):
+    """`scene_synth._foliage` with `box_blur_reference` for its blurs."""
+    noise = rng.normal(0.0, 1.0, size=(h, w))
+    for _ in range(2):
+        box_blur_reference(noise, 2)
+    lo, hi = noise.min(), noise.max()
+    # floor((noise - lo) / (hi - lo) * 255 + 0.5), one step at a time in place
+    noise -= lo
+    noise /= hi - lo
+    noise *= 255
+    noise += 0.5
+    return np.floor(noise, out=noise).astype(np.uint8)
+
+
+def box_blur_reference(img, radius):
+    """Replace `img` by its mean over a (2r+1)-square with edge padding.
+
+    A window sum is the difference of two prefix sums `size` apart; the
+    first window's is the prefix sum itself (the same bits as subtracting
+    the zero prefix). Padding copies `img`, so the result is written back
+    into it: the padded buffer is the only one allocated.
+    """
+    size = 2 * radius + 1
+    padded = np.pad(img, radius, mode="edge")
+    # Column prefix sums one row at a time: the same additions in the same
+    # order as np.cumsum(axis=0), which walks each column at a row stride
+    # and is about four times slower on a large texture.
+    for i in range(1, padded.shape[0]):
+        padded[i] += padded[i - 1]
+    # Window differences in place, bottom row first, so every prefix row is
+    # read before it is overwritten.
+    for i in range(padded.shape[0] - 1, size - 1, -1):
+        padded[i] -= padded[i - size]
+    vert = padded[size - 1:]
+    vert /= size
+    np.cumsum(vert, axis=1, out=vert)
+    img[:, 0] = vert[:, size - 1]
+    np.subtract(vert[:, size:], vert[:, :-size], out=img[:, 1:])
+    img /= size

@@ -22,9 +22,11 @@ from flowcam.sensor_frontend import (
     FULL_WIDTH,
     Frame,
     SensorConfig,
+    crop,
     downscale_for_of,
     load_config,
     of_scale,
+    subsample,
 )
 from flowcam.wire_format import read_ofv
 from oracles import save_config
@@ -119,6 +121,43 @@ class TestFrontendApply:
                          subsample_factor=2)
         with pytest.raises(ConfigError, match="crop window 600x480 .* read 288x240"):
             small_config(out_width=300, out_height=240, subsample_factor=2)
+
+    def test_window_leaving_the_sensor_rejected(self):
+        # Set 3's 640x480 window at (600, 1000) would end at (1240, 1480).
+        with pytest.raises(ConfigError, match=r"window 640x480 at \(600, 1000\) leaves "
+                                              r"the 1124x1364 sensor array"):
+            replace(PARAMETER_SETS[3], crop_origin=(600, 1000))
+        with pytest.raises(ConfigError, match="window 1120x960 at"):
+            small_config(out_width=560, out_height=480, crop_origin=(32, 0),
+                         subsample_factor=2)
+
+    def test_window_at_the_sensor_corner_accepted(self):
+        origin = (FULL_WIDTH - 640, FULL_HEIGHT - 480)
+        cfg = replace(PARAMETER_SETS[3], crop_origin=origin)
+        rng = np.random.default_rng(3)
+        full = Frame(rng.integers(0, 256, size=(FULL_HEIGHT, FULL_WIDTH), dtype=np.uint8))
+        out = frontend_apply(full, cfg)
+        assert np.array_equal(out.pixels, full.pixels[origin[1]:, origin[0]:])
+
+    @pytest.mark.parametrize("config", [
+        PARAMETER_SETS[3], PARAMETER_SETS[5], PARAMETER_SETS[7],
+        replace(PARAMETER_SETS[5], subsample_mode="bin"),
+        replace(PARAMETER_SETS[7], subsample_mode="bin"),
+        small_config(out_width=320, out_height=240, crop_origin=(64, 32), subsample_factor=2,
+                     subsample_mode="bin"),
+        small_config(out_width=64, out_height=32, crop_origin=(96, 416), subsample_factor=4),
+    ], ids=["set3", "set5", "set7", "set5-bin", "set7-bin", "crop-2x-bin", "crop-4x"])
+    def test_window_view_matches_crop_then_subsample(self, config):
+        # Sub-sampling a view of the window gives what sub-sampling its copy gives.
+        rng = np.random.default_rng(4)
+        full = Frame(rng.integers(0, 256, size=(FULL_HEIGHT, FULL_WIDTH), dtype=np.uint8))
+        f = config.subsample_factor
+        window = crop(full, config.crop_origin, (config.out_width * f, config.out_height * f))
+        if f > 1:
+            window = subsample(window, f, config.subsample_mode)
+        out = frontend_apply(full, config)
+        assert out.pixels.flags.c_contiguous
+        assert np.array_equal(out.pixels, window.pixels)
 
     def test_addressable_crop_window_accepted(self):
         cfg = small_config(out_width=320, out_height=240, crop_origin=(64, 32),

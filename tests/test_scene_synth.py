@@ -6,15 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowcam import scene_synth
 from flowcam.errors import CoverageError, FlowcamError, FrameSizeError, RangeError
 from flowcam.feature_engine import detect_fast
-from flowcam.pipeline import PARAMETER_SETS
+from flowcam.pipeline import PARAMETER_SETS, synthesize_sequence
 from flowcam.scene_synth import (
     _RENDER_BAND,
     MOTION_KINDS,
     MotionSpec,
     TextureSpec,
+    _axis,
     _bilinear,
+    _box_blur,
     _foliage,
     _wheel,
     generate_texture,
@@ -25,7 +28,13 @@ from flowcam.scene_synth import (
     save_sequence,
 )
 from flowcam.sensor_frontend import Frame, subsample, write_pgm
-from oracles import ground_truth_flow, render_reference, wheel_reference
+from oracles import (
+    box_blur_reference,
+    foliage_reference,
+    ground_truth_flow,
+    render_reference,
+    wheel_reference,
+)
 
 
 class TestTextures:
@@ -73,17 +82,30 @@ class TestTextures:
         tex = generate_texture(TextureSpec("noise", 1, (128, 128)))
         assert tex.pixels.min() < 8 and tex.pixels.max() > 247
 
-    def test_foliage_holds_two_float_fields_at_most(self):
-        # The noise field and its padded copy; a third full buffer would
-        # put the peak near 3x.
-        w, h = 512, 384
+    def test_foliage_holds_one_float_field(self):
+        # The noise field, blurred in place through a few band buffers, and
+        # then the uint8 texture; a padded copy of the field would put the
+        # peak near 2x. The size keeps the band buffers (about 0.5 MB) small
+        # against the 6.3 MB field.
+        w, h = 1024, 768
         tracemalloc.start()
         try:
             _foliage(np.random.default_rng(0), w, h)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * w * h * 8
+        assert peak < 1.3 * w * h * 8
+
+    def test_translate_hard_synthesis_holds_one_float_field(self):
+        # Set 6's translate-hard texture (2248x2728 foliage, a 49 MB float64
+        # field) dominates synthesis; its two 272x336 frames are small.
+        tracemalloc.start()
+        try:
+            synthesize_sequence(PARAMETER_SETS[6], "translate-hard", 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * 2248 * 2728 * 8
 
     def test_undersized_rejected(self):
         with pytest.raises(FrameSizeError):
@@ -92,6 +114,41 @@ class TestTextures:
     def test_unknown_kind_rejected(self):
         with pytest.raises(RangeError):
             TextureSpec("marble", 0, (128, 128))
+
+
+class TestBandedBlur:
+    """`_box_blur` and `_foliage` against the blur through one padded copy.
+
+    Band heights from one row, which carries the prefix rows over from a
+    band shorter than the carry, to more rows than the texture has; most
+    draws end in a partial band.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=st.integers(64, 300), h=st.integers(64, 300), band_rows=st.integers(1, 320),
+           seed=st.integers(0, 2**32 - 1))
+    @example(w=64, h=64, band_rows=1, seed=0)
+    @example(w=100, h=77, band_rows=10, seed=31)
+    @example(w=300, h=64, band_rows=100, seed=0)
+    def test_foliage_matches_reference(self, w, h, band_rows, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scene_synth, "_RENDER_BAND", band_rows * w)
+            got = _foliage(np.random.default_rng(seed), w, h)
+        assert np.array_equal(got, foliage_reference(np.random.default_rng(seed), w, h))
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=st.integers(64, 300), h=st.integers(64, 300), band_rows=st.integers(1, 320),
+           radius=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    # a last band of three rows whose padded rows all lie below the image
+    @example(w=64, h=67, band_rows=4, radius=4, seed=0)
+    def test_box_blur_matches_reference_bits(self, w, h, band_rows, radius, seed):
+        noise = np.random.default_rng(seed).normal(0.0, 1.0, size=(h, w))
+        expected = noise.copy()
+        box_blur_reference(expected, radius)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scene_synth, "_RENDER_BAND", band_rows * w)
+            _box_blur(noise, radius)
+        assert np.array_equal(noise.view(np.int64), expected.view(np.int64))
 
 
 class TestMotionSpec:
@@ -168,7 +225,7 @@ class TestRenderSequence:
                + t[y0 + 1, x0] * (1 - fx) * fy + t[y0 + 1, x0 + 1] * fx * fy)
         expected = np.floor(val + 0.5).astype(np.uint8)
         out = np.empty((6, 7), dtype=np.uint8)
-        _bilinear(tex, sx, sy, 0, out)
+        _bilinear(tex, _axis(sx, 50, 0), _axis(sy, 40, 0), out)
         assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("axis", ["x", "y"])
@@ -178,7 +235,7 @@ class TestRenderSequence:
         sy = np.full((4, 1), 2.25)
         (sx if axis == "x" else sy)[0, 0] = math.nan
         with pytest.raises(CoverageError, match="frame 7"):
-            _bilinear(tex, sx, sy, 7, np.empty((4, 5), dtype=np.uint8))
+            _bilinear(tex, _axis(sx, 30, 7), _axis(sy, 20, 7), np.empty((4, 5), dtype=np.uint8))
 
     def test_strided_readout_matches_decimation(self):
         tex = generate_texture(TextureSpec("blocks", 6, (256, 256)))

@@ -359,6 +359,13 @@ class TestConfigIo:
                                 max_displacement=8, crop_origin=(0, 0))
         assert config == defaults
 
+    def test_window_leaving_the_sensor_rejected(self, tmp_path):
+        path = write_config(tmp_path / "cam.cfg", out_width="640", out_height="480",
+                            crop_x="600", crop_y="1000")
+        with pytest.raises(ConfigError, match=r"window 640x480 at \(600, 1000\) leaves "
+                                              r"the 1124x1364 sensor array"):
+            load_config(path)
+
     def test_missing_key_named(self, tmp_path):
         path = tmp_path / "cam.cfg"
         path.write_text("out_width=64\n")
