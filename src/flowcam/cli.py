@@ -48,7 +48,7 @@ from .track_analyzer import (
     read_ground_truth_csv,
     write_analysis,
 )
-from .wire_format import read_ofv
+from .wire_format import HEADER_FIELD_LIMIT, read_ofv
 
 
 def _size(text: str, option: str) -> tuple[int, int]:
@@ -141,10 +141,12 @@ def cmd_run(args) -> int:
             raise FlowcamError("one of --seq or --scenario is required")
         if args.frames is None:
             n_frames = frames_for_duration(config, args.duration)
-        elif args.frames >= 1:
-            n_frames = args.frames
-        else:
+        elif args.frames < 1:
             raise RangeError(f"--frames must be at least 1, got {args.frames}")
+        elif args.frames >= HEADER_FIELD_LIMIT:
+            raise RangeError(f"--frames must be below {HEADER_FIELD_LIMIT}, got {args.frames}")
+        else:
+            n_frames = args.frames
         frames, gt = synthesize_sequence(
             config, args.scenario, n_frames, seed=args.seed,
             speed_px_s=args.speed, omega_deg_frame=args.omega_deg_frame,

@@ -14,10 +14,14 @@ row bands of the frame, and the segment test on the survivors in blocks of
 `_SCORE_BLOCK` candidates, one circle row gathered at a time into a reused
 (24, k) int16 buffer.
 Description reads each selected corner's 31x31 patch once, as one row of an
-(n, 961) block cut from a sliding-window view of the frame; the orientation
-disc and the 30 rotated BRIEF pair tables are patch-local indices
-`(dy + 15) * 31 + (dx + 15)` into those rows, built once at import. Corners
-keep the 15-pixel border margin, so every patch lies inside the frame.
+(n, 961) uint8 block cut from a sliding-window view of the frame; the
+orientation disc and the 30 rotated BRIEF pair tables are patch-local
+indices `(dy + 15) * 31 + (dx + 15)` into those rows, built once at import.
+Corners keep the 15-pixel border margin, so every patch lies inside the
+frame. The block is the largest thing description holds (2 MB at the
+2048-feature cap), so nothing copies it whole: orientation widens it to
+float32 `_ORIENT_BLOCK` rows at a time, and BRIEF takes each orientation
+bin's rows from it where they lie.
 """
 
 from __future__ import annotations
@@ -55,6 +59,10 @@ _COMPASS_BAND = 1 << 16
 # set stays in a core's L2 cache; at the set-1 full frame's first threshold
 # a whole-frame pass touched about 20 MB.
 _SCORE_BLOCK = 8192
+# Patch rows per orientation product. A (256, 961) float32 slice of the
+# patch block is about 1 MB, where casting a full set-1 block of 2048 rows
+# made a 7.9 MB copy.
+_ORIENT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -312,12 +320,20 @@ _MOMENT_WEIGHTS = _moment_weights(PATCH_RADIUS)
 
 
 def compute_orientations(patches: np.ndarray) -> np.ndarray:
-    """Intensity-centroid orientation of each patch row, in [0, 2pi)."""
+    """Intensity-centroid orientation of each patch row, in [0, 2pi).
+
+    The moments are taken `_ORIENT_BLOCK` rows at a time into one (n, 2)
+    float32 array, so only one slice of the uint8 block is ever widened.
+    """
     # Every product and partial sum is an integer of magnitude at most
     # sum(|dx|) * 255 = 1 154 640 < 2**24, so float32 sums it exactly in any
-    # order. A zero moment is +0.0: the dx = 0 and dy = 0 terms are +0.0.
-    moments = (patches @ _MOMENT_WEIGHTS).astype(np.float64)
-    angles = np.arctan2(moments[:, 1], moments[:, 0])
+    # order and any blocking. A zero moment is +0.0: the dx = 0 and dy = 0
+    # terms are +0.0.
+    moments = np.empty((len(patches), 2), dtype=np.float32)
+    for lo in range(0, len(patches), _ORIENT_BLOCK):
+        np.matmul(patches[lo : lo + _ORIENT_BLOCK], _MOMENT_WEIGHTS,
+                  out=moments[lo : lo + _ORIENT_BLOCK])
+    angles = np.arctan2(moments[:, 1], moments[:, 0], dtype=np.float64)
     angles[angles < 0] += 2 * math.pi
     angles[angles >= 2 * math.pi] = 0.0
     return angles
@@ -359,23 +375,22 @@ _PAIR_INDEX = ((_ROTATED[:, :, 1::2] + PATCH_RADIUS) * _PATCH_SIDE
 def describe_batch(patches: np.ndarray, orientations: np.ndarray) -> np.ndarray:
     """Descriptors of the patch rows as an (n, 32) uint8 array.
 
-    The rows are sorted by orientation bin, and each occupied bin gathers
-    its slice at that bin's pair indices with one `take`.
+    The rows are grouped by orientation bin with one argsort. Each occupied
+    bin takes its rows from the unsorted patch block, gathers them at that
+    bin's pair indices and writes its bits at those rows; the whole bit
+    table is packed once.
     """
     step = 2 * math.pi / ORIENTATION_BINS
     bins = np.floor(orientations / step + 0.5).astype(np.int64) % ORIENTATION_BINS
     order = np.argsort(bins, kind="stable")
-    counts = np.bincount(bins, minlength=ORIENTATION_BINS)
-    ends = np.cumsum(counts)
-    by_bin = patches[order]
+    ends = np.cumsum(np.bincount(bins, minlength=ORIENTATION_BINS)).tolist()
     bits = np.empty((bins.size, DESCRIPTOR_BITS), dtype=bool)
-    for b in np.flatnonzero(counts):
-        lo, hi = ends[b] - counts[b], ends[b]
-        pairs = by_bin[lo:hi].take(_PAIR_INDEX[b], axis=1)
-        np.less(pairs[:, :DESCRIPTOR_BITS], pairs[:, DESCRIPTOR_BITS:], out=bits[lo:hi])
-    desc = np.empty((bins.size, DESCRIPTOR_BITS // 8), dtype=np.uint8)
-    desc[order] = np.packbits(bits, axis=1, bitorder="little")
-    return desc
+    for b, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        if lo < hi:
+            rows = order[lo:hi]
+            pairs = patches.take(rows, axis=0).take(_PAIR_INDEX[b], axis=1)
+            bits[rows] = pairs[:, :DESCRIPTOR_BITS] < pairs[:, DESCRIPTOR_BITS:]
+    return np.packbits(bits, axis=1, bitorder="little")
 
 
 def update_threshold(threshold: int, produced: int, target: int) -> int:

@@ -45,7 +45,7 @@ from .track_analyzer import (
     write_ground_truth_csv,
     written_ground_truth,
 )
-from .wire_format import VectorTable, encode, write_ofv
+from .wire_format import HEADER_FIELD_LIMIT, VectorTable, encode, write_ofv
 
 INITIAL_THRESHOLD = 20
 
@@ -293,10 +293,15 @@ def synthesize_sequence(
 
 
 def frames_for_duration(config: SensorConfig, duration_s: float) -> int:
-    """Frame count of a `duration_s`-second sequence at the config's rate."""
+    """Frame count of a `duration_s`-second sequence at the config's rate,
+    which an .ofv header must be able to hold."""
     if not math.isfinite(duration_s):
         raise RangeError(f"duration must be finite, got {duration_s}")
-    return round(config.frame_rate * duration_s)
+    n_frames = round(config.frame_rate * duration_s)
+    if n_frames >= HEADER_FIELD_LIMIT:
+        raise RangeError(f"duration {duration_s} s is {n_frames} frames; a stream "
+                         f"holds fewer than {HEADER_FIELD_LIMIT}")
+    return n_frames
 
 
 def run_parameter_set(

@@ -39,6 +39,8 @@ class TextureSpec:
     def __post_init__(self) -> None:
         if self.kind not in TEXTURE_KINDS:
             raise RangeError(f"unknown texture kind {self.kind!r}")
+        if self.seed < 0:
+            raise RangeError(f"texture seed must be non-negative, got {self.seed}")
         if self.size[0] < 64 or self.size[1] < 64:
             raise FrameSizeError(f"texture must be at least 64x64, got {self.size}")
 
@@ -186,30 +188,38 @@ def _wheel(rng: np.random.Generator, w: int, h: int) -> np.ndarray:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _axis(coords: np.ndarray, n: int, frame_index: int,
-          test_pixels: bool = True) -> tuple[np.ndarray | None, ...]:
-    """The bilinear terms of sample coordinates along a texture axis of n
-    pixels: the floored corners as `intp` if `test_pixels` is set and every
-    sample lies on a pixel (None otherwise), then the corners clamped to
-    n - 2 as `intp`, the fractions from them and one minus the fractions.
-
-    Corners are floored and clamped in float64, the same values as int64
-    corners without mixed int/float loops, and cast to `intp` only to index
-    the flat texture.
-    """
-    # Written so that a NaN coordinate fails the check too.
-    if not (coords.min() >= 0 and coords.max() <= n - 1):
+def _covers(lo: float, hi: float, n: int, frame_index: int) -> None:
+    """Raise `CoverageError` unless the samples from `lo` to `hi` lie on a
+    texture axis of n pixels."""
+    # Written so that a NaN bound fails the check too.
+    if not (lo >= 0 and hi <= n - 1):
         raise CoverageError(
             f"frame {frame_index}: motion samples the texture outside its bounds"
         )
-    c0 = np.floor(coords)
-    frac = coords - c0
-    on_pixel = c0.astype(np.intp) if test_pixels and not frac.any() else None
-    np.minimum(c0, n - 2, out=c0)
-    np.subtract(coords, c0, out=frac)
-    corner = c0.astype(np.intp)
-    # The corners are no longer needed: their buffer takes the weights.
-    return on_pixel, corner, frac, np.subtract(1, frac, out=c0)
+
+
+def _sum_bounds(row: np.ndarray, col: np.ndarray) -> tuple[float, float]:
+    """Min and max of `row + col` over the grid of a `(1, w)` row term and an
+    `(r, 1)` column term, without building the grid.
+
+    Rounding is monotone, so the least rounded sum is the rounded sum of the
+    least terms, and likewise the greatest. A NaN or an inf term gives a NaN
+    or an infinite bound.
+    """
+    return row.min() + col.min(), row.max() + col.max()
+
+
+def _axis(coords: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bilinear terms of sample coordinates inside a texture axis of n
+    pixels: the corners, clamped to n - 2 and then floored, and the
+    fractions from them.
+
+    Clamping first gives the one fraction bilinear sampling needs, 1 at the
+    axis's last pixel. The corners stay float64, exact integers.
+    """
+    c0 = np.minimum(coords, n - 2)
+    np.floor(c0, out=c0)
+    return c0, coords - c0
 
 
 def _bilinear(texture: np.ndarray, x: tuple, y: tuple, out: np.ndarray) -> None:
@@ -218,29 +228,31 @@ def _bilinear(texture: np.ndarray, x: tuple, y: tuple, out: np.ndarray) -> None:
 
     The terms broadcast to the band's shape: a `(1, w)` row of columns and
     an `(r, 1)` column of rows for a separable map, full bands otherwise.
-    The texture is gathered flat at `y0*w + x0` and its `+1`, `+w`, `+w+1`
-    neighbours.
+    The flat index `y0*w + x0` is built once, in float64, where it is exact,
+    and the texture is gathered with `take` there and at its `+1`, `+w` and
+    `+w+1` neighbours. The corners' buffers then take the weights, so the
+    terms are used up. A sample on a pixel gets that pixel exactly: its
+    other corners weigh zero.
     """
     w = texture.shape[1]
     flat = texture.ravel()
-    x_on, x0, fx, gx = x
-    y_on, y0, fy, gy = y
-    if x_on is not None and y_on is not None:
-        out[...] = flat[y_on * w + x_on]
-        return
-    idx = y0 * w + x0
+    x0, fx = x
+    y0, fy = y
+    idx = (y0 * w + x0).astype(np.intp)
+    gx = np.subtract(1, fx, out=x0)
+    gy = np.subtract(1, fy, out=y0)
     # The float64 weights promote the gathered corners exactly; converting
     # the whole texture instead would copy it once per rendered frame. The
     # sum keeps the order T00*gx*gy + T01*fx*gy + T10*gx*fy + T11*fx*fy.
-    val = flat[idx] * gx
+    val = flat.take(idx) * gx
     val *= gy
-    term = np.multiply(flat[1:][idx], fx)
+    term = np.multiply(flat[1:].take(idx), fx)
     term *= gy
     val += term
-    np.multiply(flat[w:][idx], gx, out=term)
+    np.multiply(flat[w:].take(idx), gx, out=term)
     term *= fy
     val += term
-    np.multiply(flat[w + 1:][idx], fx, out=term)
+    np.multiply(flat[w + 1:].take(idx), fx, out=term)
     term *= fy
     val += term
     val += 0.5
@@ -254,11 +266,11 @@ def _sample_coords(
     rows: np.ndarray,
     center_tex: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Texture sample coordinates of some rows of frame t.
+    """Texture sample coordinates of frame t under a separable map.
 
     `cols` is the `(1, w)` row of frame-0 texture columns and `rows` an
-    `(r, 1)` column of frame-0 texture rows. Translate and zoom maps are
-    separable and keep those shapes; rotate broadcasts them to a full band.
+    `(r, 1)` column of frame-0 texture rows. Translate and zoom keep those
+    shapes.
     """
     if t == 0:
         return cols, rows
@@ -266,15 +278,31 @@ def _sample_coords(
     if motion.kind == "translate":
         vx, vy = motion.velocity
         return cols - t * vx, rows - t * vy
-    dx, dy = cols - cx, rows - cy
-    if motion.kind == "rotate":
-        # Content rotates by +omega per frame; sample with the inverse map.
-        a = -motion.omega * t
-        c, s = math.cos(a), math.sin(a)
-        return cx + c * dx - s * dy, cy + s * dx + c * dy
     # zoom: content scales by `rate` per frame about the center
     inv = motion.rate ** (-t)
-    return cx + dx * inv, cy + dy * inv
+    return cx + (cols - cx) * inv, cy + (rows - cy) * inv
+
+
+def _rotation_terms(
+    motion: MotionSpec,
+    t: int,
+    cols: np.ndarray,
+    rows: np.ndarray,
+    center_tex: tuple[float, float],
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The sample coordinates of rotated frame t as (row, column) terms per
+    axis: x = xr + xc and y = yr + yc on the grid of the `(1, w)` row terms
+    and the `(r, 1)` column terms.
+
+    Content rotates by +omega per frame, so the frame samples the texture
+    through the inverse map `cx + c*dx - s*dy`, `cy + s*dx + c*dy`. Negation
+    is exact, so adding `-s*dy` rounds as subtracting `s*dy` does.
+    """
+    cx, cy = center_tex
+    a = -motion.omega * t
+    c, s = math.cos(a), math.sin(a)
+    dx, dy = cols - cx, rows - cy
+    return (cx + c * dx, -s * dy), (cy + s * dx, c * dy)
 
 
 def _render_frame(
@@ -288,28 +316,34 @@ def _render_frame(
     """Frame t as one row-major uint8 buffer, sampled in row bands of
     about `_RENDER_BAND` pixels.
 
-    A separable map's column terms are the same for every band, so they are
-    computed once per frame; a rotation samples each band's full grid.
+    Coverage is checked once per frame, before any band is sampled. A
+    separable map's coordinates are computed once per frame, and a map whose
+    samples all lie on pixels is gathered directly. A rotation adds its row
+    and column terms into each band's full grid.
     """
     h, w = texture.shape
+    flat = texture.ravel()
     pixels = np.empty((rows.shape[0], cols.shape[1]), dtype=np.uint8)
     band = max(1, _RENDER_BAND // cols.shape[1])
     if motion.kind == "rotate" and t != 0:
+        (xr, xc), (yr, yc) = _rotation_terms(motion, t, cols, rows, center_tex)
+        _covers(*_sum_bounds(xr, xc), w, t)
+        _covers(*_sum_bounds(yr, yc), h, t)
         for r0 in range(0, rows.shape[0], band):
-            sx, sy = _sample_coords(motion, t, cols, rows[r0 : r0 + band], center_tex)
-            x = _axis(sx, w, t)
-            y = _axis(sy, h, t, x[0] is not None)
-            # A rotated band's coordinates and terms are band-sized: drop
-            # each as soon as it is used, not when the next band rebinds it.
-            del sx, sy
-            _bilinear(texture, x, y, pixels[r0 : r0 + band])
-            del x, y
+            _bilinear(texture, _axis(xr + xc[r0 : r0 + band], w),
+                      _axis(yr + yc[r0 : r0 + band], h), pixels[r0 : r0 + band])
         return pixels
     sx, sy = _sample_coords(motion, t, cols, rows, center_tex)
-    x = _axis(sx, w, t)
+    _covers(sx.min(), sx.max(), w, t)
+    _covers(sy.min(), sy.max(), h, t)
+    if (sx == np.floor(sx)).all() and (sy == np.floor(sy)).all():
+        x_on, y_on = sx.astype(np.intp), sy.astype(np.intp)
+        for r0 in range(0, rows.shape[0], band):
+            pixels[r0 : r0 + band] = flat.take(y_on[r0 : r0 + band] * w + x_on)
+        return pixels
     for r0 in range(0, rows.shape[0], band):
-        y = _axis(sy[r0 : r0 + band], h, t, x[0] is not None)
-        _bilinear(texture, x, y, pixels[r0 : r0 + band])
+        _bilinear(texture, _axis(sx, w), _axis(sy[r0 : r0 + band], h),
+                  pixels[r0 : r0 + band])
     return pixels
 
 

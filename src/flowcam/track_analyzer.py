@@ -93,15 +93,18 @@ def link_tracks(per_frame_vectors: VectorTable) -> TrackSet:
     continues the track. New tracks are numbered by frame, then row.
 
     Frame t-1's heads are sorted by position once, and frame t's distinct
-    tails are looked up among them with one `searchsorted`.
+    tails are looked up among them with one `searchsorted`. A track gains
+    one point in each frame from its first one on, so a point's row in
+    `points` is its track's offset plus its frame's distance from the
+    track's first frame: a second pass over the frames writes every point
+    in place, with no sort and no copy of the whole run's points.
     """
-    blocks = []  # per frame: (track id, frame, x, y) columns
+    frame_ids = []  # per frame: each vector's track id, and the vectors that start one
     head_keys = head_ids = np.empty(0, dtype=np.int64)
     n_tracks = 0
-    for t, vectors in enumerate(per_frame_vectors):
+    for vectors in per_frame_vectors:
         # Wire records are int16: x + dx and the point keys need int64.
         x, y, dx, dy = vectors.rows.astype(np.int64).T[:4]
-        hx, hy = x + dx, y + dy
         tid = np.full(x.size, -1, dtype=np.int64)
         tails, first = np.unique(_point_keys(x, y), return_index=True)
         pos = np.searchsorted(head_keys, tails)
@@ -111,21 +114,31 @@ def link_tracks(per_frame_vectors: VectorTable) -> TrackSet:
         new = np.flatnonzero(tid < 0)
         tid[new] = np.arange(n_tracks, n_tracks + new.size)
         n_tracks += new.size
-        frame = np.full(new.size + x.size, t, dtype=np.int64)
-        frame[:new.size] = t - 1
-        blocks.append((np.concatenate((tid[new], tid)), frame,
-                       np.concatenate((x[new], hx)), np.concatenate((y[new], hy))))
-        head_keys, first = np.unique(_point_keys(hx, hy), return_index=True)
+        frame_ids.append((tid, new))
+        head_keys, first = np.unique(_point_keys(x + dx, y + dy), return_index=True)
         head_ids = tid[first]
-    if blocks:
-        tid, frame, x, y = (np.concatenate(col) for col in zip(*blocks))
-    else:
-        tid = frame = x = y = np.empty(0, dtype=np.int64)
-    order = np.lexsort((frame, tid))
+    # Ids count up by frame, and a track started in frame t begins at t - 1.
+    first_frame = np.repeat(np.arange(-1, len(frame_ids) - 1),
+                            [new.size for _, new in frame_ids])
+    last_frame = np.empty(n_tracks, dtype=np.int64)
+    for t, (tid, _) in enumerate(frame_ids):
+        last_frame[tid] = t  # a track continues through at most one vector a frame
+    offsets = _offsets(last_frame - first_frame + 1)
+    row_base = offsets[:-1] - first_frame  # the row of a track's point in frame 0
+    points = np.empty((offsets[-1], 3), dtype=np.int64)
+    for t, (vectors, (tid, new)) in enumerate(zip(per_frame_vectors, frame_ids)):
+        x, y, dx, dy = vectors.rows.astype(np.int64).T[:4]
+        row = row_base[tid] + t
+        # The new tracks' first points, then every head, as (frame, x, y).
+        block = np.empty((new.size + x.size, 3), dtype=np.int64)
+        for k, (start, head) in enumerate(((t - 1, t), (x[new], x + dx), (y[new], y + dy))):
+            block[:new.size, k] = start
+            block[new.size:, k] = head
+        points[np.concatenate((row[new] - 1, row))] = block
     return TrackSet(
         np.arange(n_tracks, dtype=np.int64),
-        np.stack((frame[order], x[order], y[order]), axis=1),
-        _offsets(np.bincount(tid, minlength=n_tracks)),
+        points,
+        offsets,
         np.empty((0, 2), dtype=np.int64),
         np.zeros(n_tracks + 1, dtype=np.int64),
     )
@@ -204,7 +217,8 @@ def redetect(tracks: TrackSet, max_gap: int, radius: int) -> TrackSet:
 
     The candidates of every track end are tabled once. A merged track ends
     where the last track it absorbed ends, so only ends that have candidates
-    ever enter the heap. The input is not modified.
+    ever enter the heap. The input is not modified; when nothing merges it
+    is returned as it is.
     """
     if max_gap < 1:
         raise RangeError(f"max_gap must be at least 1, got {max_gap}")
@@ -240,6 +254,8 @@ def redetect(tracks: TrackSet, max_gap: int, radius: int) -> TrackSet:
         last[k] = e = last[s]
         if co[e] < co[e + 1]:
             heapq.heappush(heap, (end_frame[e], tid, k))
+    if not any(absorbed):
+        return tracks
 
     chain, heads = [], []  # tracks in output order; where each chain starts
     for k in range(n):

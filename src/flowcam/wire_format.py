@@ -27,6 +27,8 @@ LINE_BYTES = RECORD_BYTES * VECTORS_PER_LINE
 SENTINEL_FIELD = 0xFFFF
 COORD_LIMIT = 2048
 SCORE_LIMIT = 256
+# A stream header's width, height and frame count are 4-byte fields.
+HEADER_FIELD_LIMIT = 1 << 32
 
 OFV_MAGIC = b"OFV1"
 
@@ -107,12 +109,13 @@ def write_ofv(
     """
     if table.rows.dtype != np.dtype("<i2"):
         raise EncodingError(f"table rows are {table.rows.dtype}, not the <i2 records of encode")
-    parts = [
-        OFV_MAGIC,
-        int(frame_width).to_bytes(4, "little"),
-        int(frame_height).to_bytes(4, "little"),
-        len(table).to_bytes(4, "little"),
-    ]
+    header = {"frame width": int(frame_width), "frame height": int(frame_height),
+              "frame count": len(table)}
+    parts = [OFV_MAGIC]
+    for name, value in header.items():
+        if not 0 <= value < HEADER_FIELD_LIMIT:
+            raise EncodingError(f"{name} {value} does not fit the 4-byte header field")
+        parts.append(value.to_bytes(4, "little"))
     for vectors in table:
         pad = -len(vectors) % VECTORS_PER_LINE
         parts.append(((len(vectors) + pad) // VECTORS_PER_LINE).to_bytes(4, "little"))

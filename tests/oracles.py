@@ -10,7 +10,9 @@ is round-tripped against, sub-sampling and 2x binning as a copying crop
 followed by a reshaped block mean, a scene renderer that samples full 2-D
 coordinate grids for every frame, the sector wheel texture computed on
 the whole grid at once, and the foliage texture blurred through one
-edge-padded copy of the whole noise field follow.
+edge-padded copy of the whole noise field follow. The feature engine's
+section also holds orientation as one product of the whole patch block and
+description on a copy of the block sorted by orientation bin.
 """
 
 import heapq
@@ -22,7 +24,10 @@ import numpy as np
 
 from flowcam.errors import CoverageError, MarginError, RangeError
 from flowcam.feature_engine import (
+    _MOMENT_WEIGHTS,
+    _PAIR_INDEX,
     DESCRIPTOR_BITS,
+    ORIENTATION_BINS,
     PATCH_RADIUS,
     Feature,
     FeatureSet,
@@ -151,6 +156,35 @@ def describe_brief(frame, corner, orientation):
     packed = describe_batch(_corner_patches(frame, np.array([x]), np.array([y])),
                             np.array([orientation], dtype=np.float64))
     return packed[0].tobytes()
+
+
+def orientations_reference(patches):
+    """`compute_orientations` as one product of the whole patch block, cast
+    to float32 at once."""
+    moments = (patches @ _MOMENT_WEIGHTS).astype(np.float64)
+    angles = np.arctan2(moments[:, 1], moments[:, 0])
+    angles[angles < 0] += 2 * math.pi
+    angles[angles >= 2 * math.pi] = 0.0
+    return angles
+
+
+def describe_reference(patches, orientations):
+    """`describe_batch` on a copy of the patch block sorted by orientation
+    bin, each bin a contiguous slice."""
+    step = 2 * math.pi / ORIENTATION_BINS
+    bins = np.floor(orientations / step + 0.5).astype(np.int64) % ORIENTATION_BINS
+    order = np.argsort(bins, kind="stable")
+    counts = np.bincount(bins, minlength=ORIENTATION_BINS)
+    ends = np.cumsum(counts)
+    by_bin = patches[order]
+    bits = np.empty((bins.size, DESCRIPTOR_BITS), dtype=bool)
+    for b in np.flatnonzero(counts):
+        lo, hi = ends[b] - counts[b], ends[b]
+        pairs = by_bin[lo:hi].take(_PAIR_INDEX[b], axis=1)
+        np.less(pairs[:, :DESCRIPTOR_BITS], pairs[:, DESCRIPTOR_BITS:], out=bits[lo:hi])
+    desc = np.empty((bins.size, DESCRIPTOR_BITS // 8), dtype=np.uint8)
+    desc[order] = np.packbits(bits, axis=1, bitorder="little")
+    return desc
 
 
 def extract_features(frame, threshold, tile_budget, brief_max):

@@ -268,6 +268,30 @@ class TestTypedInputErrors:
         assert err == f"flowcam run: --frames must be at least 1, got {frames}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--frames", 2**32, "--frames must be below 4294967296, got 4294967296"),
+        ("--duration", "1e300", "duration 1e+300 s is 2400"),
+        ("--duration", "17895697.07", "duration 17895697.07 s is 4294967297 frames"),
+    ])
+    def test_frame_count_beyond_the_stream_header(self, capsys, tmp_path, option, value,
+                                                  message):
+        err = self.run_main(capsys, "run", "--param-set", 6, "--scenario", "still",
+                            option, value, "--out", tmp_path / "o")
+        assert err.startswith(f"flowcam run: {message}")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args", [
+        ("gen", "--texture", "blocks", "--viewport", "64x64", "--motion", "still",
+         "--frames", 2, "--frame-rate", 240),
+        ("run", "--param-set", 6, "--scenario", "still", "--frames", 2),
+        ("bench", "--param-set", 6, "--frames", 50),
+    ])
+    def test_negative_seed(self, capsys, tmp_path, args):
+        err = self.run_main(capsys, *args, "--seed", -1,
+                            *(["--out", tmp_path / "o"] if args[0] != "bench" else []))
+        assert err == f"flowcam {args[0]}: texture seed must be non-negative, got -1\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("duration", ["nan", "inf"])
     def test_non_finite_duration(self, capsys, tmp_path, duration):
         err = self.run_main(capsys, "run", "--param-set", 6, "--scenario", "still",

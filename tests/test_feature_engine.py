@@ -1,29 +1,38 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowcam import feature_engine
 from flowcam.errors import FrameSizeError, MarginError, RangeError
 from flowcam.feature_engine import (
     BORDER_MARGIN,
+    ORIENTATION_BINS,
     PAIR_TABLE,
     cap_global,
+    compute_orientations,
+    describe_batch,
     describe_corners,
     detect_fast,
     enforce_tile_budget,
     select_corners,
     update_threshold,
 )
-from flowcam.sensor_frontend import Frame
+from flowcam.pipeline import PARAMETER_SETS, frontend_apply, synthesize_sequence
+from flowcam.sensor_frontend import Frame, downscale_for_of
 from oracles import (
     compute_orientation,
     corner_array,
     corner_list,
     describe_brief,
     describe_per_corner,
+    describe_reference,
     extract_features,
+    orientations_reference,
 )
 
 CIRCLE = [
@@ -370,6 +379,67 @@ class TestFeatureSet:
         assert len(corners) > 0
         assert np.array_equal(corners, detect_fast(copy, 20))
         assert list(describe_corners(fortran, corners)) == list(describe_corners(copy, corners))
+
+
+@st.composite
+def patch_blocks(draw):
+    """An (n, 961) uint8 patch block and per-row orientations.
+
+    Pixels are drawn from a few levels or all 256, so that moments tie and
+    pair comparisons meet equal pixels; orientations fall in a few bins,
+    often on a bin's edge, so that a bin holds many rows.
+    """
+    n = draw(st.integers(0, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 3, 256]))
+    patches = (rng.integers(0, levels, size=(n, 961)) * (255 // (levels - 1))).astype(np.uint8)
+    bins = rng.integers(0, draw(st.integers(1, ORIENTATION_BINS)), size=n)
+    offsets = rng.choice([0.0, 0.5, -0.5, 0.25], size=n)
+    orientations = (bins + offsets) * (2 * math.pi / ORIENTATION_BINS) % (2 * math.pi)
+    return patches, orientations
+
+
+class TestBlockedDescription:
+    """Orientation in row blocks and description from the unsorted block
+    give the bits of the whole-block references."""
+
+    @given(block=st.integers(1, 7), case=patch_blocks())
+    @example(block=1, case=(np.zeros((0, 961), dtype=np.uint8), np.empty(0)))
+    @settings(max_examples=60, deadline=None)
+    def test_orientations_match_whole_block_product(self, block, case):
+        patches, _ = case
+        with mock.patch.object(feature_engine, "_ORIENT_BLOCK", block):
+            got = compute_orientations(patches)
+        expected = orientations_reference(patches)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, expected)
+
+    @given(case=patch_blocks())
+    @settings(max_examples=60, deadline=None)
+    def test_descriptors_match_sorted_block(self, case):
+        patches, orientations = case
+        got = describe_batch(patches, orientations)
+        assert got.dtype == np.uint8 and got.shape == (len(patches), 32)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, describe_reference(patches, orientations))
+
+    def test_full_array_frame_under_3_5_mb(self):
+        # Set 1's 562x682 OF frame at the 2048-feature cap. Widening the whole
+        # patch block to float32 (7.9 MB) or copying it in bin order (2 MB)
+        # breaks the bound.
+        config = PARAMETER_SETS[1]
+        frames, _ = synthesize_sequence(config, "still", 2, seed=0)
+        of_frame, _ = downscale_for_of(frontend_apply(frames[0], config))
+        corners = select_corners(of_frame, 10, config.tile_budget, config.brief_max)
+        assert len(corners) == 2048
+        describe_corners(of_frame, corners)  # first-call allocations out of the count
+        tracemalloc.start()
+        try:
+            describe_corners(of_frame, corners)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6
 
 
 class TestThresholdController:

@@ -18,7 +18,9 @@ from flowcam.scene_synth import (
     _axis,
     _bilinear,
     _box_blur,
+    _covers,
     _foliage,
+    _sum_bounds,
     _wheel,
     generate_texture,
     load_sequence,
@@ -114,6 +116,10 @@ class TestTextures:
     def test_unknown_kind_rejected(self):
         with pytest.raises(RangeError):
             TextureSpec("marble", 0, (128, 128))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(RangeError, match="seed must be non-negative, got -1"):
+            TextureSpec("blocks", -1, (128, 128))
 
 
 class TestBandedBlur:
@@ -225,17 +231,20 @@ class TestRenderSequence:
                + t[y0 + 1, x0] * (1 - fx) * fy + t[y0 + 1, x0 + 1] * fx * fy)
         expected = np.floor(val + 0.5).astype(np.uint8)
         out = np.empty((6, 7), dtype=np.uint8)
-        _bilinear(tex, _axis(sx, 50, 0), _axis(sy, 40, 0), out)
+        _bilinear(tex, _axis(sx, 50), _axis(sy, 40), out)
         assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_bilinear_rejects_nan_coordinate(self, axis):
-        tex = np.zeros((20, 30), dtype=np.uint8)
-        sx = np.full((1, 5), 3.5)
-        sy = np.full((4, 1), 2.25)
-        (sx if axis == "x" else sy)[0, 0] = math.nan
+        # The (1, 5) row and (4, 1) column terms of each axis of a rotated
+        # band on a 30x20 texture; a NaN in the x row term or in the y
+        # column term fails that axis's check.
+        terms = {"x": (np.full((1, 5), 3.5), np.full((4, 1), 0.25)),
+                 "y": (np.full((1, 5), 2.0), np.full((4, 1), 0.25))}
+        terms[axis][axis == "y"][0, 0] = math.nan
         with pytest.raises(CoverageError, match="frame 7"):
-            _bilinear(tex, _axis(sx, 30, 7), _axis(sy, 20, 7), np.empty((4, 5), dtype=np.uint8))
+            for (row, col), n in zip(terms.values(), (30, 20)):
+                _covers(*_sum_bounds(row, col), n, 7)
 
     def test_strided_readout_matches_decimation(self):
         tex = generate_texture(TextureSpec("blocks", 6, (256, 256)))
@@ -316,6 +325,45 @@ class TestRenderOracle:
         for g, e in zip(got, expected):
             assert g.pixels.flags.c_contiguous
             assert np.array_equal(g.pixels, e.pixels)
+
+
+FINITE = st.floats(-1e12, 1e12, allow_subnormal=True)
+NEAR_AXIS = st.one_of(st.floats(-2, 40), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def grid_terms(elements):
+    """A `(1, w)` row term and an `(r, 1)` column term."""
+    row = st.lists(elements, min_size=1, max_size=8).map(lambda v: np.array(v)[None, :])
+    col = st.lists(elements, min_size=1, max_size=8).map(lambda v: np.array(v)[:, None])
+    return st.tuples(row, col)
+
+
+class TestRotationBounds:
+    """A rotated frame's coverage is checked on the bounds of its terms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(terms=grid_terms(FINITE))
+    # rounding ties: the sums land between adjacent doubles
+    @example(terms=(np.array([[0.1, 0.7, 1e-17]]), np.array([[0.2], [-0.1], [3.0]])))
+    def test_bounds_from_terms_equal_grid_min_and_max(self, terms):
+        row, col = terms
+        grid = row + col
+        assert _sum_bounds(row, col) == (grid.min(), grid.max())
+
+    @settings(max_examples=300, deadline=None)
+    @given(terms=grid_terms(NEAR_AXIS), n=st.integers(2, 40))
+    @example(terms=(np.array([[math.inf]]), np.array([[-math.inf]])), n=10)  # inf - inf
+    def test_check_on_bounds_matches_check_on_grid(self, terms, n):
+        row, col = terms
+        with np.errstate(invalid="ignore"):
+            grid = row + col
+            inside = bool(grid.min() >= 0 and grid.max() <= n - 1)
+            try:
+                _covers(*_sum_bounds(row, col), n, 3)
+                passed = True
+            except CoverageError:
+                passed = False
+        assert passed == inside
 
 
 # Windows of more than two render bands whose last band is partial.

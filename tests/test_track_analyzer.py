@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,12 @@ class TestRedetect:
         ]
         out = redetect_records(tracks, max_gap=3, radius=2)
         assert [(t.id, t.points) for t in out] == [(t.id, t.points) for t in tracks]
+
+    def test_nothing_merged_returns_the_input(self):
+        # The second track starts two frames after the first ends, but 5 px away.
+        tracks = track_set([self.track(0, [(9, 50, 50), (10, 50, 50)]),
+                            self.track(1, [(12, 55, 50), (13, 55, 50)])])
+        assert redetect(tracks, max_gap=2, radius=1) is tracks
 
     def test_nearest_start_wins_and_chains(self):
         a = self.track(0, [(5, 50, 50), (6, 50, 50)])
@@ -334,6 +341,24 @@ class TestLinkOracle:
         assert table.rows.dtype.str == "<i2"
         assert link_tracks(table) == link_tracks(batches(per_frame))
         assert len(link_tracks(table)) == 2
+
+    def test_full_array_stream_under_4_5_mb(self):
+        # A 30-frame set-1 still stream: about 56 000 vectors in 2 500 tracks.
+        # Four int64 columns per point, joined while the per-frame list was
+        # alive and then gathered into three temporaries, came to about 7 MB.
+        config = PARAMETER_SETS[1]
+        frames, _ = synthesize_sequence(config, "still", 30, seed=0)
+        vectors, _ = run_pipeline(config, frames)
+        del frames
+        assert len(vectors) == 30 and vectors.rows.shape[0] > 50_000
+        tracks = link_tracks(vectors)
+        tracemalloc.start()
+        try:
+            assert link_tracks(vectors) == tracks
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5e6
 
 
 @pytest.fixture(scope="module", params=[(1, "still", 6), (3, "rotate", 24),

@@ -276,6 +276,20 @@ class TestOfvStream:
             write_ofv(tmp_path / "wide.ofv", 64, 64, wide)
         assert not (tmp_path / "wide.ofv").exists()
 
+    @pytest.mark.parametrize("width, height, n_frames, field", [
+        (64, 64, 2**32, "frame count"), (2**32, 64, 1, "frame width"),
+        (64, -1, 1, "frame height"),
+    ])
+    def test_header_overflow_not_written(self, tmp_path, width, height, n_frames, field):
+        # Offsets broadcast from one zero: a table of 2**32 empty frames
+        # without 32 GB of offsets.
+        offsets = np.broadcast_to(np.zeros(1, dtype=np.int64), (n_frames + 1,))
+        big = VectorTable(np.empty((0, 6), dtype="<i2"), offsets)
+        assert len(big) == n_frames
+        with pytest.raises(EncodingError, match=f"^{field} .* 4-byte header field$"):
+            write_ofv(tmp_path / "big.ofv", width, height, big)
+        assert not (tmp_path / "big.ofv").exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ofv"
         path.write_bytes(b"NOPE" + b"\x00" * 12)
