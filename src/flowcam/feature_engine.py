@@ -9,10 +9,11 @@ descriptor sampled on a fixed point-pair pattern rotated in 12-degree steps.
 Detection indexes the row-major pixel buffer `frame.pixels.ravel()` directly:
 a pixel at offset (dx, dy) from position `i` is `flat[i + dy*W + dx]` for
 frame width W, so the FAST circle and the NMS neighbourhood are flat offsets.
-Its two heavy passes work in cache-sized pieces: the compass pre-filter in
-row bands of the frame, and the segment test on the survivors in blocks of
-`_SCORE_BLOCK` candidates, one circle row gathered at a time into a reused
-(24, k) int16 buffer.
+It works on the frame's own bytes, in uint8, and its two heavy passes work in
+cache-sized pieces: the compass pre-filter in flat row bands of the frame, and
+the segment test on the survivors in blocks of `_SCORE_BLOCK` candidates, one
+circle row gathered at a time into a reused (24, k) uint8 buffer whose run
+minima and maxima give both arc strengths. NMS reads a uint8 score map.
 Description reads each selected corner's 31x31 patch once, as one row of an
 (n, 961) uint8 block cut from a sliding-window view of the frame; the
 orientation disc and the 30 rotated BRIEF pair tables are patch-local
@@ -50,14 +51,14 @@ _CIRCLE_DY = np.array([dy for _, dy in _CIRCLE], dtype=np.int64)
 _COMPASS = (0, 4, 8, 12)
 _ARC = 9
 _ARC_ROWS = 16 + _ARC - 1  # the circle, then its first 8 rows again
-# Pixels per band of the compass filter: its int16 copy, two bars and two
-# counters (about 7 bytes a pixel) then fit a core's L2 cache, where the
-# whole-frame pass over a set-1 full frame touched about 3.5 MB.
+_RUN_ROWS = 22 + 20  # the runs of 2 and of 4 that `_run_extreme` builds
+# Pixels per band of the compass filter: its two uint8 planes and the dark
+# mask (3 bytes a pixel, 192 KiB) then fit a core's L2 cache.
 _COMPASS_BAND = 1 << 16
-# Candidates scored per block. A (24, 8192) int16 buffer is 384 KiB, and the
-# run minima of `_arc_strength` about as much again, so one block's working
-# set stays in a core's L2 cache; at the set-1 full frame's first threshold
-# a whole-frame pass touched about 20 MB.
+# Candidates scored per block. The (24, 8192) uint8 ring buffer and the
+# (42, 8192) run buffer are 192 and 336 KiB, so one block's working set
+# stays in a core's L2 cache; at the set-1 full frame's first threshold a
+# whole-frame pass touched several MB.
 _SCORE_BLOCK = 8192
 # Patch rows per orientation product. A (256, 961) float32 slice of the
 # patch block is about 1 MB, where casting a full set-1 block of 2048 rows
@@ -130,110 +131,151 @@ def detect_fast(frame: Frame, threshold: int) -> np.ndarray:
 
     flat = frame.pixels.ravel()
     h, w = frame.pixels.shape
-    m = BORDER_MARGIN
-    candidate = np.zeros((h, w), dtype=bool)
-    _compass_filter(frame.pixels, threshold, out=candidate[m : h - m, m : w - m])
-    idx = np.flatnonzero(candidate)  # row-major flat positions, ascending
+    idx = np.flatnonzero(_compass_filter(flat, h, w, threshold))  # row-major
     if idx.size == 0:
         return np.empty((0, 3), dtype=np.int64)
 
     # Scored in blocks of _SCORE_BLOCK candidates: on a set-1 frame the
-    # controller's thresholds leave 20 000 to 90 000 of them.
+    # controller's thresholds leave about 15 000 to 73 000 of them.
+    # Kept entries are picked by position with `take`: boolean indexing with
+    # these scattered masks was about 5x slower.
     score = _segment_scores(flat, idx, w)
-    keep = score >= threshold
-    if not keep.any():
+    passers = np.flatnonzero(score >= threshold)
+    if passers.size == 0:
         return np.empty((0, 3), dtype=np.int64)
-    idx, score = idx[keep], score[keep]
-    survive = _nms(idx, score, h, w)
-    ys, xs = np.divmod(idx[survive], w)
-    return np.column_stack((xs, ys, score[survive].astype(np.int64)))
+    # A passer's score lies in [threshold, 254], so it fits a byte.
+    idx, score = idx.take(passers), score.take(passers).astype(np.uint8)
+    kept = np.flatnonzero(_nms(idx, score, h, w))
+    ys, xs = np.divmod(idx.take(kept), w)
+    return np.column_stack((xs, ys, score.take(kept).astype(np.int64)))
 
 
-def _compass_filter(pixels: np.ndarray, threshold: int, out: np.ndarray) -> None:
-    """Mark in `out` the pixels inside the border margin that pass the
-    cheap candidate filter.
+def _compass_filter(flat: np.ndarray, h: int, w: int, threshold: int) -> np.ndarray:
+    """The (h*w,) mask of the pixels inside the border margin that pass the
+    exact compass pre-filter, for the raveled h x w frame `flat`.
 
-    Any 9-run of the circle covers at least two of the four compass points,
-    so a pixel with fewer than two compass points brighter than
-    center+threshold, and fewer than two darker than center-threshold, is
-    ruled out. The frame is filtered in bands of about `_COMPASS_BAND`
-    pixels, each copied to int16 with its 3-row halo.
+    Any 9-run of the circle holds two adjacent compass points (0 and 4, 4
+    and 8, 8 and 12, or 12 and 0), so a pixel can pass the bright test only
+    if such a pair is brighter than center+threshold. Expanding the four
+    pairs, that is `min(max(p0, p8), max(p4, p12)) > c + t`, and the dark
+    test needs `max(min(p0, p8), min(p4, p12)) < c - t`. Both stay in uint8:
+    `a > c + t` is `max(a, t) - t > c`, and `b < c - t` is
+    `min(b, 255 - t) + t < c`. Rows are filtered `_COMPASS_BAND` pixels at
+    a time as flat runs of whole rows, whose circle points are flat offsets;
+    the margin columns, which wrap across rows, are cleared at the end.
     """
-    h, w = pixels.shape
     m = BORDER_MARGIN
+    t = threshold
+    mask = np.zeros(h * w, dtype=bool)
     rows = max(1, _COMPASS_BAND // w)
+    band = np.empty((2, rows * w), dtype=np.uint8)
+    dark = np.empty(rows * w, dtype=bool)
+    shifts = [dy * w + dx for dx, dy in (_CIRCLE[k] for k in _COMPASS)]
     for y0 in range(m, h - m, rows):
-        y1 = min(y0 + rows, h - m)
-        img = pixels[y0 - 3 : y1 + 3].astype(np.int16)
-        center = img[3:-3, m : w - m]
-        bright_bar = center + threshold
-        dark_bar = center - threshold
-        bright_compass = np.zeros(center.shape, dtype=np.uint8)
-        dark_compass = np.zeros(center.shape, dtype=np.uint8)
-        for k in _COMPASS:
-            dx, dy = _CIRCLE[k]
-            ring = img[3 + dy : y1 - y0 + 3 + dy, m + dx : w - m + dx]
-            bright_compass += ring > bright_bar
-            dark_compass += ring < dark_bar
-        np.logical_or(bright_compass >= 2, dark_compass >= 2, out=out[y0 - m : y1 - m])
+        lo, hi = y0 * w, min(y0 + rows, h - m) * w
+        n = hi - lo
+        p0, p4, p8, p12 = (flat[lo + s : hi + s] for s in shifts)
+        a, b = band[0, :n], band[1, :n]
+        np.maximum(p0, p8, out=a)
+        np.maximum(p4, p12, out=b)
+        np.minimum(a, b, out=a)
+        np.maximum(a, t, out=a)
+        np.subtract(a, t, out=a)
+        np.greater(a, flat[lo:hi], out=mask[lo:hi])
+        np.minimum(p0, p8, out=a)
+        np.minimum(p4, p12, out=b)
+        np.maximum(a, b, out=a)
+        np.minimum(a, 255 - t, out=a)
+        np.add(a, t, out=a)
+        np.less(a, flat[lo:hi], out=dark[:n])
+        np.logical_or(mask[lo:hi], dark[:n], out=mask[lo:hi])
+    grid = mask.reshape(h, w)
+    grid[:, :m] = False
+    grid[:, w - m :] = False
+    return mask
 
 
 def _segment_scores(flat: np.ndarray, idx: np.ndarray, w: int) -> np.ndarray:
-    """FAST score of each candidate at `idx` in a frame of width `w`: the
-    stronger of the bright and the dark arc strength, minus one.
+    """FAST score of each candidate at `idx` in a frame of width `w`, as
+    int16: the stronger of the bright and the dark arc strength, minus one.
 
-    Candidates are scored `_SCORE_BLOCK` at a time in one preallocated
-    (24, k) int16 buffer of circle-minus-centre differences. Each circle
-    row is gathered on its own from a shifted view of `flat`, so no (16, N)
-    index array is built, and rows 16-23 repeat rows 0-7 so that every
-    9-run is contiguous. The dark arc reuses the buffer, negated in place.
+    The bright arc strength is the best 9-run's darkest pixel minus the
+    centre, `max over runs of min(R) - c`, and the dark one `c - min over
+    runs of max(R)`: `min(R_i - c) = min(R_i) - c`, so the runs are taken on
+    the ring's own bytes. Candidates are scored `_SCORE_BLOCK` at a time:
+    each circle row is gathered from a shifted view of `flat` into a reused
+    (24, k) uint8 buffer, whose rows 16-23 repeat rows 0-7 so that every
+    9-run is contiguous.
     """
     ring = _CIRCLE_DY * w + _CIRCLE_DX
     first = int(ring.min())  # candidates keep the margin, so pos + first >= 0
+    k = min(idx.size, _SCORE_BLOCK)
+    # Flat buffers, so that a short last block is a contiguous (rows, n) view.
+    wrapped_buf = np.empty(_ARC_ROWS * k, dtype=np.uint8)
+    work_buf = np.empty(_RUN_ROWS * k, dtype=np.uint8)
+    ends = np.empty((3, k), dtype=np.uint8)
+    dark = np.empty(k, dtype=np.int16)
     score = np.empty(idx.size, dtype=np.int16)
-    buf = np.empty((_ARC_ROWS, min(idx.size, _SCORE_BLOCK)), dtype=np.int16)
     for lo in range(0, idx.size, _SCORE_BLOCK):
         pos = idx[lo : lo + _SCORE_BLOCK]
-        diffs = buf[:, : pos.size]
-        center = flat.take(pos).astype(np.int16)
+        n = pos.size
+        wrapped = wrapped_buf[: _ARC_ROWS * n].reshape(_ARC_ROWS, n)
+        work = work_buf[: _RUN_ROWS * n].reshape(_RUN_ROWS, n)
+        center, brightest, darkest = ends[0, :n], ends[1, :n], ends[2, :n]
+        flat.take(pos, out=center, mode="clip")
         base = pos + first
         for row, shift in enumerate(ring - first):
-            np.subtract(flat[shift:].take(base), center, out=diffs[row])
-        diffs[16:] = diffs[: _ARC_ROWS - 16]
-        bright = _arc_strength(diffs)
-        np.negative(diffs, out=diffs)
-        np.maximum(bright, _arc_strength(diffs), out=bright)
-        np.subtract(bright, 1, out=score[lo : lo + pos.size])
+            flat[shift:].take(base, out=wrapped[row], mode="clip")
+        wrapped[16:] = wrapped[: _ARC_ROWS - 16]
+        _run_extreme(wrapped, np.minimum, np.maximum, work, brightest)
+        _run_extreme(wrapped, np.maximum, np.minimum, work, darkest)
+        out = score[lo : lo + n]
+        np.subtract(brightest, center, out=out, dtype=np.int16)
+        np.subtract(center, darkest, out=dark[:n], dtype=np.int16)
+        np.maximum(out, dark[:n], out=out)
+        out -= 1
     return score
 
 
-def _arc_strength(wrapped: np.ndarray) -> np.ndarray:
-    """Max over circular 9-runs of the minimum diff along the run.
+def _run_extreme(wrapped: np.ndarray, along: np.ufunc, across: np.ufunc,
+                 work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`across` over the 16 circular 9-runs of `along` over each run.
 
-    `wrapped` holds the 16 circle rows followed by rows 0-7 again. Run
-    minima by doubling: runs of 2, 4 and 8, then one more row for 9.
+    `wrapped` holds the 16 circle rows followed by rows 0-7 again, and
+    `work` is (42, k) scratch of the same dtype. `along` = minimum, `across`
+    = maximum gives the brightest run's darkest pixel; the reverse gives the
+    darkest run's brightest pixel. Runs by doubling: 2, 4 and 8, then one
+    more row for 9.
     """
-    run = np.minimum(wrapped[:22], wrapped[1:23])
-    run = np.minimum(run[:20], run[2:22])
-    run = np.minimum(run[:16], run[4:20])
-    return np.minimum(run, wrapped[8:24]).max(axis=0)
+    pairs, quads = work[:22], work[22:]
+    along(wrapped[:22], wrapped[1:23], out=pairs)
+    along(pairs[:20], pairs[2:22], out=quads)
+    along(quads[:16], quads[4:20], out=pairs[:16])
+    along(pairs[:16], wrapped[8:24], out=pairs[:16])
+    return across.reduce(pairs[:16], axis=0, out=out)
 
 
 def _nms(idx: np.ndarray, score: np.ndarray, h: int, w: int) -> np.ndarray:
-    """3x3 non-maximum suppression on a flat h*w score map.
+    """3x3 non-maximum suppression on a flat h*w uint8 score map.
 
-    `idx` are row-major flat positions at least one pixel inside the frame.
-    Ties are broken toward the earlier row-major position: a corner survives
-    if it strictly beats the neighbors before it and at least ties the
-    neighbors after it. Returns the survivor mask.
+    `idx` are row-major flat positions at least one pixel inside the frame,
+    and `score` their scores in [0, 255]. Ties are broken toward the earlier
+    row-major position: a corner survives if it strictly beats the
+    neighbors before it and at least ties the neighbors after it. Each
+    neighbour is read from a shifted view of the map with `take`. Returns
+    the survivor mask.
     """
-    smap = np.zeros(h * w, dtype=score.dtype)
+    smap = np.zeros(h * w, dtype=np.uint8)
     smap[idx] = score
+    base = idx - (w + 1)
+    near = np.empty(idx.size, dtype=np.uint8)
+    beats = np.empty(idx.size, dtype=bool)
     survive = np.ones(idx.size, dtype=bool)
-    for step in (-w - 1, -w, -w + 1, -1):
-        survive &= score > smap[idx + step]
-    for step in (1, w - 1, w, w + 1):
-        survive &= score >= smap[idx + step]
+    for steps, test in (((-w - 1, -w, -w + 1, -1), np.greater),
+                        ((1, w - 1, w, w + 1), np.greater_equal)):
+        for step in steps:
+            smap[step + w + 1 :].take(base, out=near, mode="clip")
+            survive &= test(score, near, out=beats)
     return survive
 
 

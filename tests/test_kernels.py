@@ -1,19 +1,23 @@
 """Bit-equality oracles for the flat-index hot kernels.
 
 Each reference below is the straightforward formulation the kernel replaced
-(reshape-sum binning, sliding-window arc strength, 2-D-index NMS, the
-lexsort tile budget, orientation moments and BRIEF sampling). The production
+(reshape-sum binning, the int16 adjacent-pair compass filter, sliding-window
+arc strength on circle-minus-centre differences, 2-D-index NMS, the lexsort
+tile budget, orientation moments and BRIEF sampling). The production
 kernels must agree with them bit for bit on every input, including the edge
 cases listed in the `@example` decorators and the hand-made frames.
 """
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowcam import feature_engine
 from flowcam.errors import RangeError
 from flowcam.feature_engine import (
     BORDER_MARGIN,
@@ -25,10 +29,12 @@ from flowcam.feature_engine import (
     _COMPASS_BAND,
     _MOMENT_WEIGHTS,
     _ROTATED,
+    _RUN_ROWS,
     _SCORE_BLOCK,
-    _arc_strength,
+    _compass_filter,
     _corner_patches,
     _nms,
+    _run_extreme,
     compute_orientations,
     describe_batch,
     describe_corners,
@@ -216,44 +222,127 @@ class TestBinBlocks:
 
 
 # ---------------------------------------------------------------------------
-# FAST: arc strength and NMS
+# FAST: compass filter, arc strength and NMS
 # ---------------------------------------------------------------------------
 
-DIFF = st.integers(-255, 255)
+PIXEL = st.integers(0, 255)
 
 
-def wrap(diffs):
-    """The 16 circle rows followed by rows 0-7 again, as `_arc_strength` reads them."""
-    return np.concatenate([diffs, diffs[: _ARC - 1]], axis=0)
+def wrap(ring):
+    """The 16 circle rows followed by rows 0-7 again, as `_run_extreme` reads them."""
+    return np.concatenate([ring, ring[: _ARC - 1]], axis=0)
+
+
+def run_strengths(centre, ring):
+    """Bright and dark arc strengths of the (16, k) uint8 `ring` around the
+    k `centre` pixels, from the two run extrema."""
+    k = ring.shape[1]
+    work = np.empty((_RUN_ROWS, k), dtype=np.uint8)
+    brightest = _run_extreme(wrap(ring), np.minimum, np.maximum, work,
+                             np.empty(k, dtype=np.uint8))
+    darkest = _run_extreme(wrap(ring), np.maximum, np.minimum, work,
+                           np.empty(k, dtype=np.uint8))
+    return brightest.astype(np.int16) - centre, centre.astype(np.int16) - darkest
 
 
 class TestArcStrength:
+    """Run minima and maxima on the ring's bytes give the sliding-window arc
+    strength of `ring - centre`, for both polarities."""
+
+    # Each drawn column is a centre followed by its 16 circle pixels.
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.lists(DIFF, min_size=16, max_size=16), min_size=1, max_size=12))
-    @example([[255] * 16, [-255] * 16, [255, -255] * 8, [-255] * 8 + [255] * 8])
-    @example([[255] * 9 + [-255] * 7, [-255] + [255] * 9 + [-255] * 6])
-    @example([[0] * 15 + [-255]])
+    @given(st.lists(st.lists(PIXEL, min_size=17, max_size=17), min_size=1, max_size=12))
+    @example([[0] + [255] * 16, [255] + [0] * 16, [0] + [255, 0] * 8,
+              [255] + [0] * 8 + [255] * 8])
+    @example([[0] + [255] * 9 + [0] * 7, [255] + [0] + [255] * 9 + [0] * 6])
+    @example([[255] + [255] * 15 + [0]])
     def test_matches_sliding_window(self, columns):
-        diffs = np.array(columns, dtype=np.int16).T.copy()
-        for d in (diffs, -diffs):
-            np.testing.assert_array_equal(_arc_strength(wrap(d)), arc_strength_reference(d))
+        table = np.array(columns, dtype=np.uint8).T.copy()
+        centre, ring = table[0], table[1:]
+        diffs = ring.astype(np.int16) - centre
+        bright, dark = run_strengths(centre, ring)
+        np.testing.assert_array_equal(bright, arc_strength_reference(diffs))
+        np.testing.assert_array_equal(dark, arc_strength_reference(-diffs))
 
     def test_every_run_position(self):
-        # A 9-run of +255 starting at every circle position, the rest -255.
-        diffs = np.full((16, 16), -255, dtype=np.int16)
+        # A 9-run of 255 starting at every circle position, the rest 0,
+        # around a centre of 0; then the same ring inverted around 255.
+        ring = np.zeros((16, 16), dtype=np.uint8)
         for start in range(16):
-            diffs[[(start + j) % 16 for j in range(_ARC)], start] = 255
-        np.testing.assert_array_equal(_arc_strength(wrap(diffs)), np.full(16, 255))
-        np.testing.assert_array_equal(_arc_strength(wrap(diffs)), arc_strength_reference(diffs))
+            ring[[(start + j) % 16 for j in range(_ARC)], start] = 255
+        centre = np.zeros(16, dtype=np.uint8)
+        bright, _ = run_strengths(centre, ring)
+        np.testing.assert_array_equal(bright, np.full(16, 255))
+        np.testing.assert_array_equal(bright, arc_strength_reference(ring.astype(np.int16)))
+        _, dark = run_strengths(centre + 255, 255 - ring)
+        np.testing.assert_array_equal(dark, np.full(16, 255))
+        np.testing.assert_array_equal(dark, arc_strength_reference(ring.astype(np.int16)))
+
+
+def adjacent_compass_reference(frame, threshold):
+    """Whole-frame (h, w) mask of the pixels inside the border margin with
+    two adjacent compass points both brighter than center+threshold, or
+    both darker than center-threshold, in int16."""
+    img = frame.pixels.astype(np.int16)
+    h, w = img.shape
+    m = BORDER_MARGIN
+    center = img[m : h - m, m : w - m]
+    points = [img[m + dy : h - m + dy, m + dx : w - m + dx]
+              for dx, dy in (_CIRCLE[k] for k in _COMPASS)]
+    mask = np.zeros((h, w), dtype=bool)
+    inner = mask[m : h - m, m : w - m]
+    for a, b in zip(points, points[1:] + points[:1]):
+        inner |= (a > center + threshold) & (b > center + threshold)
+        inner |= (a < center - threshold) & (b < center - threshold)
+    return mask
+
+
+def segment_test_reference(frame, threshold):
+    """(h, w) mask of every pixel inside the border margin that passes the
+    FAST-9 segment test, from the sliding-window arc strength."""
+    img = frame.pixels.astype(np.int16)
+    h, w = img.shape
+    m = BORDER_MARGIN
+    center = img[m : h - m, m : w - m]
+    diffs = np.stack([img[m + dy : h - m + dy, m + dx : w - m + dx] - center
+                      for dx, dy in _CIRCLE]).reshape(16, -1)
+    score = np.maximum(arc_strength_reference(diffs), arc_strength_reference(-diffs)) - 1
+    mask = np.zeros((h, w), dtype=bool)
+    mask[m : h - m, m : w - m] = (score >= threshold).reshape(center.shape)
+    return mask
+
+
+class TestCompassFilter:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(32, 75),
+           height=st.integers(32, 75), style=STYLES, threshold=st.integers(1, 255),
+           band=st.integers(1, 6000))
+    @example(seed=0, width=32, height=32, style="full", threshold=1, band=1)  # c + t > 255
+    @example(seed=0, width=32, height=32, style="zeros", threshold=1, band=1)  # c - t < 0
+    @example(seed=0, width=40, height=33, style="binary", threshold=254, band=100)
+    @example(seed=1, width=75, height=75, style="binary", threshold=255, band=6000)
+    @example(seed=2, width=61, height=47, style="blocks", threshold=1, band=200)
+    def test_matches_adjacent_pair_reference(self, seed, width, height, style,
+                                             threshold, band):
+        # Bands from one row to the whole frame; every segment-test passer
+        # must pass the filter.
+        frame = frame_from(seed, width, height, style)
+        with mock.patch.object(feature_engine, "_COMPASS_BAND", band):
+            mask = _compass_filter(frame.pixels.ravel(), height, width, threshold)
+        assert mask.shape == (height * width,) and mask.dtype == bool
+        mask = mask.reshape(height, width)
+        np.testing.assert_array_equal(mask, adjacent_compass_reference(frame, threshold))
+        assert not (segment_test_reference(frame, threshold) & ~mask).any()
 
 
 class TestNms:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), width=st.integers(32, 61),
            height=st.integers(32, 61), density=st.floats(0.05, 1.0),
-           top=st.integers(1, 254))
-    @example(seed=1, width=33, height=32, density=1.0, top=1)
-    def test_matches_2d_reference(self, seed, width, height, density, top):
+           top=st.integers(1, 254), dtype=st.sampled_from([np.int16, np.uint8]))
+    @example(seed=1, width=33, height=32, density=1.0, top=1, dtype=np.int16)
+    @example(seed=1, width=33, height=32, density=1.0, top=254, dtype=np.uint8)
+    def test_matches_2d_reference(self, seed, width, height, density, top, dtype):
         # Candidates in row-major order inside the detection margin, scores
         # from a narrow range so ties between neighbours are common.
         rng = np.random.default_rng(seed)
@@ -262,7 +351,7 @@ class TestNms:
         inner[rng.random(inner.shape) < density] = True
         cy, cx = np.nonzero(inner)
         ay, ax = cy + m, cx + m
-        score = rng.integers(max(0, top - 3), top + 1, size=ay.size).astype(np.int16)
+        score = rng.integers(max(0, top - 3), top + 1, size=ay.size).astype(dtype)
         got = _nms(ay * width + ax, score, height, width)
         np.testing.assert_array_equal(got, nms_reference(ay, ax, score, height, width))
 
@@ -494,7 +583,7 @@ def test_full_frame_detection_matches_reference(threshold):
     frames, _ = synthesize_sequence(PARAMETER_SETS[1], "still", 2, seed=0)
     frame, _ = downscale_for_of(frontend_apply(frames[1], PARAMETER_SETS[1]))
     assert (frame.width, frame.height) == (562, 682)
-    assert compass_reference(frame, threshold).sum() > _SCORE_BLOCK
+    assert adjacent_compass_reference(frame, threshold).sum() > _SCORE_BLOCK
     assert frame.width * (frame.height - 2 * BORDER_MARGIN) > 2 * _COMPASS_BAND
     assert corner_list(detect_fast(frame, threshold)) == detect_fast_reference(frame, threshold)
 
@@ -504,6 +593,7 @@ def test_workload_frames_match_references(set_id, scenario, index, threshold):
     config = PARAMETER_SETS[set_id]
     frames, _ = synthesize_sequence(config, scenario, index + 1, seed=0)
     frame, _ = downscale_for_of(frontend_apply(frames[index], config))
+    assert corner_list(detect_fast(frame, threshold)) == detect_fast_reference(frame, threshold)
     corners = select_corners(frame, threshold, config.tile_budget, config.brief_max)
     xs, ys = corners[:, 0], corners[:, 1]
     features = describe_corners(frame, corners)
@@ -515,3 +605,33 @@ def test_workload_frames_match_references(set_id, scenario, index, threshold):
     assert len(features) > 150
     if set_id == 1:
         assert occupied == ORIENTATION_BINS
+
+
+def peak_bytes(fn, *args):
+    """tracemalloc peak of `fn(*args)`, after one untraced call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_full_frame_detection_under_2_mb():
+    # Set 1's 562x682 OF frame at the controller's first threshold: about
+    # 72 000 compass candidates. Detection in int16 (an int16 ring buffer,
+    # score map and filter bands) peaked at 2.45 MB.
+    frames, _ = synthesize_sequence(PARAMETER_SETS[1], "still", 2, seed=0)
+    frame, _ = downscale_for_of(frontend_apply(frames[1], PARAMETER_SETS[1]))
+    assert peak_bytes(detect_fast, frame, 20) < 2.0e6
+
+
+def test_full_array_binning_under_0_8_mb():
+    # The 1124x1364 array binned to 562x682 (a 383 KB result). Summing whole
+    # strided planes into a whole-frame uint16 sum peaked at 1.15 MB, and a
+    # whole-frame row pass makes a 1.5 MB temporary.
+    frames, _ = synthesize_sequence(PARAMETER_SETS[1], "still", 1, seed=0)
+    frame = frontend_apply(frames[0], PARAMETER_SETS[1])
+    assert (frame.width, frame.height) == (1124, 1364)
+    assert peak_bytes(downscale_for_of, frame) < 0.8e6
