@@ -23,10 +23,8 @@ from .scene_synth import (
 from .sensor_frontend import (
     Frame,
     SensorConfig,
-    crop,
     downscale_for_of,
     max_frame_rate,
-    subsample,
 )
 from .track_analyzer import (
     TrackSet,
@@ -56,7 +54,6 @@ __all__ = [
     "VectorTable",
     "accuracy_metrics",
     "analyze",
-    "crop",
     "detect_fast",
     "downscale_for_of",
     "encode",
@@ -71,7 +68,6 @@ __all__ = [
     "render_sequence",
     "run_parameter_set",
     "run_pipeline",
-    "subsample",
     "throughput_report",
     "traveled_distance",
     "update_threshold",

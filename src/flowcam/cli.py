@@ -24,7 +24,7 @@ from .pipeline import (
     PARAMETER_SETS,
     SCENARIOS,
     finalize_report,
-    frames_for_duration,
+    frame_count,
     run_pipeline,
     synthesize_sequence,
     throughput_report,
@@ -48,7 +48,7 @@ from .track_analyzer import (
     read_ground_truth_csv,
     write_analysis,
 )
-from .wire_format import HEADER_FIELD_LIMIT, read_ofv
+from .wire_format import read_ofv
 
 
 def _size(text: str, option: str) -> tuple[int, int]:
@@ -139,14 +139,7 @@ def cmd_run(args) -> int:
     else:
         if args.scenario is None:
             raise FlowcamError("one of --seq or --scenario is required")
-        if args.frames is None:
-            n_frames = frames_for_duration(config, args.duration)
-        elif args.frames < 1:
-            raise RangeError(f"--frames must be at least 1, got {args.frames}")
-        elif args.frames >= HEADER_FIELD_LIMIT:
-            raise RangeError(f"--frames must be below {HEADER_FIELD_LIMIT}, got {args.frames}")
-        else:
-            n_frames = args.frames
+        n_frames = frame_count(config, args.duration, args.frames)
         frames, gt = synthesize_sequence(
             config, args.scenario, n_frames, seed=args.seed,
             speed_px_s=args.speed, omega_deg_frame=args.omega_deg_frame,

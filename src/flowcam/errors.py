@@ -6,7 +6,7 @@ class FlowcamError(ValueError):
 
 
 class BoundsError(FlowcamError):
-    """A crop falls outside the frame, or a pixel buffer is not 2-D."""
+    """A pixel buffer is not 2-D."""
 
 
 class ConfigError(FlowcamError):
@@ -31,7 +31,8 @@ class EncodingError(FlowcamError):
 
 
 class FramingError(FlowcamError):
-    """Byte stream length is not a whole number of vector lines."""
+    """An .ofv stream lacks its OFV1 header, ends inside a frame block header
+    or payload, or has bytes after its last frame block."""
 
 
 class PayloadError(FlowcamError):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BoundsError, ConfigError, RangeError
+from .errors import ConfigError, RangeError
 from .feature_engine import describe_corners, select_corners, update_threshold
 from .matcher import VectorBatch, match_features, ratio_filter
 from .scene_synth import (
@@ -33,7 +33,6 @@ from .sensor_frontend import (
     Frame,
     SensorConfig,
     _bin_blocks,
-    _window,
     downscale_for_of,
     hardware_reference,
     max_frame_rate,
@@ -145,19 +144,18 @@ def frontend_apply(frame: Frame, config: SensorConfig) -> Frame:
     """Reduce an input frame to the configured recorded geometry.
 
     Frames already at the output size pass through; from any other frame the
-    config's window is read and sub-sampled, as `synthesize_sequence` renders
-    it. The window is a view, not a copy: `SensorConfig` keeps it
-    addressable, so decimating or binning it gives what `subsample` would.
+    config's window is read and decimated or binned, as `synthesize_sequence`
+    renders it. `SensorConfig` keeps the window addressable, so every factor
+    x factor block of it is whole.
     """
     if (frame.width, frame.height) == (config.out_width, config.out_height):
         return frame
     f = config.subsample_factor
-    try:
-        window = _window(frame, config.crop_origin,
-                         (config.out_width * f, config.out_height * f))
-    except BoundsError as exc:
+    (ox, oy), w, h = config.crop_origin, config.out_width * f, config.out_height * f
+    if ox + w > frame.width or oy + h > frame.height:
         raise ConfigError(f"frame {frame.width}x{frame.height} cannot supply the "
-                          f"configured geometry: {exc}") from exc
+                          f"{w}x{h} window at ({ox}, {oy})")
+    window = frame.pixels[oy : oy + h, ox : ox + w]
     if f > 1 and config.subsample_mode == "bin":
         return Frame(_bin_blocks(window, f))
     return Frame(window[::f, ::f])
@@ -246,8 +244,8 @@ def synthesize_sequence(
             raise RangeError(f"{name} must be finite, got {value}")
     stride = config.subsample_factor
     # Binned readout averages each stride x stride block of the window at
-    # full resolution, as `subsample` does; decimated readout samples one
-    # pixel of each block.
+    # full resolution, as `frontend_apply` does; decimated readout samples
+    # one pixel of each block.
     binned = stride if config.subsample_mode == "bin" else 1
     viewport = (config.out_width * binned, config.out_height * binned)
     fov = (FULL_WIDTH, FULL_HEIGHT)
@@ -292,15 +290,25 @@ def synthesize_sequence(
     return frames, gt
 
 
-def frames_for_duration(config: SensorConfig, duration_s: float) -> int:
-    """Frame count of a `duration_s`-second sequence at the config's rate,
-    which an .ofv header must be able to hold."""
-    if not math.isfinite(duration_s):
-        raise RangeError(f"duration must be finite, got {duration_s}")
-    n_frames = round(config.frame_rate * duration_s)
+def frame_count(config: SensorConfig, duration_s: float, n_frames: int | None = None) -> int:
+    """Frames in a run: `n_frames`, or, when that is None, `duration_s`
+    seconds at the config's rate.
+
+    A run needs 2 frames to match one pair, and an .ofv header must hold the
+    count. Callers take the count from here before synthesizing, so a bad one
+    fails before any texture is built.
+    """
+    if n_frames is None:
+        if not math.isfinite(duration_s):
+            raise RangeError(f"duration must be finite, got {duration_s}")
+        n_frames = round(config.frame_rate * duration_s)
+        count = f"duration {duration_s} s is {n_frames} frames"
+    else:
+        count = f"frame count {n_frames}"
+    if n_frames < 2:
+        raise RangeError(f"{count}; a run needs at least 2")
     if n_frames >= HEADER_FIELD_LIMIT:
-        raise RangeError(f"duration {duration_s} s is {n_frames} frames; a stream "
-                         f"holds fewer than {HEADER_FIELD_LIMIT}")
+        raise RangeError(f"{count}; a stream holds fewer than {HEADER_FIELD_LIMIT}")
     return n_frames
 
 
@@ -321,8 +329,7 @@ def run_parameter_set(
     if set_id not in PARAMETER_SETS:
         raise RangeError(f"parameter set must be 1..7, got {set_id}")
     config = PARAMETER_SETS[set_id]
-    if n_frames is None:
-        n_frames = frames_for_duration(config, duration_s)
+    n_frames = frame_count(config, duration_s, n_frames)
     frames, gt = synthesize_sequence(
         config, scenario, n_frames, seed=seed, speed_px_s=speed_px_s,
         omega_deg_frame=omega_deg_frame, zoom_rate_frame=zoom_rate_frame,

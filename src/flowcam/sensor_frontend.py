@@ -1,8 +1,10 @@
 """Frame frontend of the optical-flow sensor emulator.
 
-Turns a full-resolution sensor frame into the image the optical-flow unit
-actually sees (crop, sub-sample or bin, automatic down-scaling to the OF
-unit's size bound) and models the achievable frame rates of the part.
+Holds the frame type, the camera setting (`SensorConfig`) with the one
+window of the sensor array a run records, block binning, the automatic 2x
+down-scale to the OF unit's size bound, PGM and config files, and the model
+of the part's achievable frame rates. `pipeline.frontend_apply` cuts the
+window from a larger frame.
 """
 
 from __future__ import annotations
@@ -148,26 +150,6 @@ _GRID_HEIGHTS = sorted({h for h, _ in _GRID_FPS})
 _GRID_VECTORS = sorted({v for _, v in _GRID_FPS})
 
 
-def crop(frame: Frame, origin: tuple[int, int], size: tuple[int, int]) -> Frame:
-    """Extract the axis-aligned window at `origin` with the given size."""
-    return Frame(_window(frame, origin, size).copy())
-
-
-def _window(frame: Frame, origin: tuple[int, int], size: tuple[int, int]) -> np.ndarray:
-    """A view of the window at `origin` with the given size, bounds-checked."""
-    ox, oy = origin
-    w, h = size
-    if ox < 0 or oy < 0:
-        raise BoundsError(f"crop origin must be non-negative, got ({ox}, {oy})")
-    if w <= 0 or h <= 0:
-        raise BoundsError(f"crop size must be positive, got ({w}, {h})")
-    if ox + w > frame.width:
-        raise BoundsError(f"crop x extent {ox}+{w} exceeds frame width {frame.width}")
-    if oy + h > frame.height:
-        raise BoundsError(f"crop y extent {oy}+{h} exceeds frame height {frame.height}")
-    return frame.pixels[oy : oy + h, ox : ox + w]
-
-
 def _addressable(dim: int, factor: int) -> int:
     """The part of a dimension the sub-sampling hardware can address.
 
@@ -212,22 +194,6 @@ def _bin_blocks(pixels: np.ndarray, factor: int) -> np.ndarray:
         s >>= n.bit_length() - 1
         out[y0:y1] = s
     return out
-
-
-def subsample(frame: Frame, factor: int, mode: str) -> Frame:
-    """Keep every `factor`-th pixel or average blocks of the addressable top-left."""
-    if factor not in (2, 4):
-        raise ConfigError(f"subsample factor must be 2 or 4, got {factor}")
-    if mode not in SUBSAMPLE_MODES:
-        raise ConfigError(f"unknown subsample mode {mode!r}")
-    w, h = _addressable(frame.width, factor), _addressable(frame.height, factor)
-    if w < factor or h < factor:
-        raise BoundsError(
-            f"frame {frame.width}x{frame.height} too small for {factor}x sub-sampling"
-        )
-    if mode == "decimate":
-        return Frame(frame.pixels[:h:factor, :w:factor].copy())
-    return Frame(_bin_blocks(frame.pixels[:h, :w], factor))
 
 
 def of_scale(width: int, height: int) -> int:

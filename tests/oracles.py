@@ -6,13 +6,14 @@ The helpers here work one corner, pair, vector or track at a time on the
 record types (`Feature`, `FlowVector`, and the `Track` defined here). The
 converters at the top turn record lists into the batch types and back. The
 closed-form flow of a motion, the config-file writer that `load_config`
-is round-tripped against, sub-sampling and 2x binning as a copying crop
-followed by a reshaped block mean, a scene renderer that samples full 2-D
-coordinate grids for every frame, the sector wheel texture computed on
-the whole grid at once, and the foliage texture blurred through one
-edge-padded copy of the whole noise field follow. The feature engine's
-section also holds orientation as one product of the whole patch block and
-description on a copy of the block sorted by orientation bin.
+is round-tripped against, block binning as a reshaped block mean, a scene
+renderer that samples full 2-D coordinate grids for every frame, the
+sector wheel texture computed on the whole grid at once, and the foliage
+texture blurred through one edge-padded copy of the whole noise field
+follow. The feature engine's section also holds orientation from exact
+integer moments of the disc pixels and description from each bin's rotated
+pair table, both read from a frame by 2-D index; `patch_frame` lays a
+patch block out as such a frame.
 """
 
 import heapq
@@ -24,8 +25,7 @@ import numpy as np
 
 from flowcam.errors import CoverageError, MarginError, RangeError
 from flowcam.feature_engine import (
-    _MOMENT_WEIGHTS,
-    _PAIR_INDEX,
+    _ROTATED,
     DESCRIPTOR_BITS,
     ORIENTATION_BINS,
     PATCH_RADIUS,
@@ -39,7 +39,7 @@ from flowcam.feature_engine import (
 )
 from flowcam.matcher import NO_COMPETITOR, FlowVector, VectorBatch
 from flowcam.scene_synth import WHEEL_SECTORS
-from flowcam.sensor_frontend import Frame, crop
+from flowcam.sensor_frontend import Frame
 from flowcam.track_analyzer import TrackSet
 
 # ---------------------------------------------------------------------------
@@ -158,33 +158,50 @@ def describe_brief(frame, corner, orientation):
     return packed[0].tobytes()
 
 
-def orientations_reference(patches):
-    """`compute_orientations` as one product of the whole patch block, cast
-    to float32 at once."""
-    moments = (patches @ _MOMENT_WEIGHTS).astype(np.float64)
-    angles = np.arctan2(moments[:, 1], moments[:, 0])
+def _disc_offsets(radius):
+    span = np.arange(-radius, radius + 1)
+    dx, dy = np.meshgrid(span, span)
+    inside = dx * dx + dy * dy <= radius * radius
+    return dx[inside].astype(np.int64), dy[inside].astype(np.int64)
+
+
+DISC_DX, DISC_DY = _disc_offsets(PATCH_RADIUS)
+
+
+def orientations_reference(frame, xs, ys):
+    """Intensity-centroid angles of the corners at (xs, ys) from exact int64
+    moments over the disc pixels, gathered by 2-D index."""
+    vals = frame.pixels[ys[:, None] + DISC_DY, xs[:, None] + DISC_DX].astype(np.int64)
+    m10 = vals @ DISC_DX
+    m01 = vals @ DISC_DY
+    angles = np.arctan2(m01.astype(np.float64), m10.astype(np.float64))
     angles[angles < 0] += 2 * math.pi
     angles[angles >= 2 * math.pi] = 0.0
     return angles
 
 
-def describe_reference(patches, orientations):
-    """`describe_batch` on a copy of the patch block sorted by orientation
-    bin, each bin a contiguous slice."""
+def describe_reference(frame, xs, ys, orientations):
+    """BRIEF bits of the corners at (xs, ys), each pair of its bin's rotated
+    table sampled by 2-D index."""
     step = 2 * math.pi / ORIENTATION_BINS
     bins = np.floor(orientations / step + 0.5).astype(np.int64) % ORIENTATION_BINS
-    order = np.argsort(bins, kind="stable")
-    counts = np.bincount(bins, minlength=ORIENTATION_BINS)
-    ends = np.cumsum(counts)
-    by_bin = patches[order]
-    bits = np.empty((bins.size, DESCRIPTOR_BITS), dtype=bool)
-    for b in np.flatnonzero(counts):
-        lo, hi = ends[b] - counts[b], ends[b]
-        pairs = by_bin[lo:hi].take(_PAIR_INDEX[b], axis=1)
-        np.less(pairs[:, :DESCRIPTOR_BITS], pairs[:, DESCRIPTOR_BITS:], out=bits[lo:hi])
-    desc = np.empty((bins.size, DESCRIPTOR_BITS // 8), dtype=np.uint8)
-    desc[order] = np.packbits(bits, axis=1, bitorder="little")
-    return desc
+    tables = _ROTATED[bins]
+    img = frame.pixels
+    px = xs[:, None] + tables[:, :, 0]
+    py = ys[:, None] + tables[:, :, 1]
+    qx = xs[:, None] + tables[:, :, 2]
+    qy = ys[:, None] + tables[:, :, 3]
+    bits = img[py, px] < img[qy, qx]
+    return np.packbits(bits, axis=1, bitorder="little")
+
+
+def patch_frame(patches):
+    """An (n, 961) patch block as a frame of the n 31x31 patches stacked top to
+    bottom, with the patch centres, for the two references above."""
+    side = 2 * PATCH_RADIUS + 1
+    n = len(patches)
+    ys = np.arange(n, dtype=np.int64) * side + PATCH_RADIUS
+    return Frame(patches.reshape(n * side, side)), np.full(n, PATCH_RADIUS), ys
 
 
 def extract_features(frame, threshold, tile_budget, brief_max):
@@ -357,7 +374,7 @@ def save_config(config, path):
 
 
 # ---------------------------------------------------------------------------
-# Sub-sampling and binning by crop-then-reduce
+# Block binning by a reshaped block mean
 # ---------------------------------------------------------------------------
 
 
@@ -368,18 +385,6 @@ def bin_blocks_reference(pixels, factor):
     blocks = pixels.astype(np.int64).reshape(h // factor, factor, w // factor, factor)
     n = factor * factor
     return ((blocks.sum(axis=(1, 3)) + n // 2) // n).astype(np.uint8)
-
-
-def subsample_reference(frame, factor, mode):
-    """Copy the top-left part the sub-sampler addresses (sides cut to a
-    multiple of 32, or of `factor` below 32 pixels), then decimate or bin."""
-    def addressable(dim):
-        return dim // 32 * 32 if dim >= 32 else dim // factor * factor
-
-    cut = crop(frame, (0, 0), (addressable(frame.width), addressable(frame.height)))
-    if mode == "decimate":
-        return cut.pixels[::factor, ::factor]
-    return bin_blocks_reference(cut.pixels, factor)
 
 
 # ---------------------------------------------------------------------------

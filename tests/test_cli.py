@@ -261,15 +261,25 @@ class TestTypedInputErrors:
                             "--out", tmp_path / "o")
         assert "frame_0001.pgm" in err
 
-    @pytest.mark.parametrize("frames", [0, -3])
+    def test_seq_frame_smaller_than_the_window(self, capsys, tmp_path):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        for i in range(2):
+            write_pgm(Frame(np.zeros((100, 100), dtype=np.uint8)), seq / f"frame_{i:04d}.pgm")
+        err = self.run_main(capsys, "run", "--param-set", 3, "--seq", seq,
+                            "--out", tmp_path / "o")
+        assert err == ("flowcam run: frame 100x100 cannot supply the 640x480 window "
+                       "at (240, 432)\n")
+
+    @pytest.mark.parametrize("frames", [0, -3, 1])
     def test_frames_below_one(self, capsys, tmp_path, frames):
         err = self.run_main(capsys, "run", "--param-set", 6, "--scenario", "still",
                             "--duration", "0.05", "--frames", frames, "--out", tmp_path / "o")
-        assert err == f"flowcam run: --frames must be at least 1, got {frames}\n"
+        assert err == f"flowcam run: frame count {frames}; a run needs at least 2\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("option, value, message", [
-        ("--frames", 2**32, "--frames must be below 4294967296, got 4294967296"),
+        ("--frames", 2**32, "frame count 4294967296; a stream holds fewer than 4294967296"),
         ("--duration", "1e300", "duration 1e+300 s is 2400"),
         ("--duration", "17895697.07", "duration 17895697.07 s is 4294967297 frames"),
     ])

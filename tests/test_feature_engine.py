@@ -33,6 +33,7 @@ from oracles import (
     describe_reference,
     extract_features,
     orientations_reference,
+    patch_frame,
 )
 
 CIRCLE = [
@@ -401,7 +402,8 @@ def patch_blocks(draw):
 
 class TestBlockedDescription:
     """Orientation in row blocks and description from the unsorted block
-    give the bits of the whole-block references."""
+    give the bits of the 2-D-index references, read from the same patches
+    laid out as a frame."""
 
     @given(block=st.integers(1, 7), case=patch_blocks())
     @example(block=1, case=(np.zeros((0, 961), dtype=np.uint8), np.empty(0)))
@@ -410,7 +412,7 @@ class TestBlockedDescription:
         patches, _ = case
         with mock.patch.object(feature_engine, "_ORIENT_BLOCK", block):
             got = compute_orientations(patches)
-        expected = orientations_reference(patches)
+        expected = orientations_reference(*patch_frame(patches))
         assert got.dtype == np.float64
         assert np.array_equal(got, expected)
 
@@ -421,7 +423,8 @@ class TestBlockedDescription:
         got = describe_batch(patches, orientations)
         assert got.dtype == np.uint8 and got.shape == (len(patches), 32)
         assert got.flags.c_contiguous
-        assert np.array_equal(got, describe_reference(patches, orientations))
+        frame, xs, ys = patch_frame(patches)
+        assert np.array_equal(got, describe_reference(frame, xs, ys, orientations))
 
     def test_full_array_frame_under_3_5_mb(self):
         # Set 1's 562x682 OF frame at the 2048-feature cap. Widening the whole

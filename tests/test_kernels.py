@@ -1,11 +1,12 @@
 """Bit-equality oracles for the flat-index hot kernels.
 
-Each reference below is the straightforward formulation the kernel replaced
-(reshape-sum binning, the int16 adjacent-pair compass filter, sliding-window
-arc strength on circle-minus-centre differences, 2-D-index NMS, the lexsort
-tile budget, orientation moments and BRIEF sampling). The production
-kernels must agree with them bit for bit on every input, including the edge
-cases listed in the `@example` decorators and the hand-made frames.
+Each reference is the straightforward formulation the kernel replaced: here
+the int16 adjacent-pair compass filter, sliding-window arc strength on
+circle-minus-centre differences, 2-D-index NMS and the lexsort tile budget;
+in `oracles` reshape-sum binning, orientation moments and BRIEF sampling.
+The production kernels must agree with them bit for bit on every input,
+including the edge cases listed in the `@example` decorators and the
+hand-made frames.
 """
 
 import math
@@ -28,7 +29,6 @@ from flowcam.feature_engine import (
     _COMPASS,
     _COMPASS_BAND,
     _MOMENT_WEIGHTS,
-    _ROTATED,
     _RUN_ROWS,
     _SCORE_BLOCK,
     _compass_filter,
@@ -43,19 +43,25 @@ from flowcam.feature_engine import (
     select_corners,
 )
 from flowcam.pipeline import PARAMETER_SETS, frontend_apply, synthesize_sequence
-from flowcam.sensor_frontend import Frame, _bin_blocks, downscale_for_of, subsample
-from oracles import corner_list
+from flowcam.sensor_frontend import (
+    Frame,
+    SensorConfig,
+    _addressable,
+    _bin_blocks,
+    downscale_for_of,
+)
+from oracles import (
+    DISC_DX,
+    DISC_DY,
+    bin_blocks_reference,
+    corner_list,
+    describe_reference,
+    orientations_reference,
+)
 
 # ---------------------------------------------------------------------------
 # Reference formulations
 # ---------------------------------------------------------------------------
-
-
-def bin_blocks_reference(pixels, factor):
-    h, w = pixels.shape
-    blocks = pixels.reshape(h // factor, factor, w // factor, factor)
-    sums = blocks.sum(axis=(1, 3), dtype=np.uint32)
-    return ((sums * 2 + factor * factor) // (2 * factor * factor)).astype(np.uint8)
 
 
 def arc_strength_reference(diffs):
@@ -91,39 +97,6 @@ def tile_budget_reference(corners, frame_width, tile_budget):
     rank = np.arange(order.size) - start_pos
     kept = order[rank < tile_budget]
     return corners[kept[np.lexsort((xs[kept], ys[kept]))]]
-
-
-def _disc_offsets(radius):
-    span = np.arange(-radius, radius + 1)
-    dx, dy = np.meshgrid(span, span)
-    inside = dx * dx + dy * dy <= radius * radius
-    return dx[inside].astype(np.int64), dy[inside].astype(np.int64)
-
-
-DISC_DX, DISC_DY = _disc_offsets(PATCH_RADIUS)
-
-
-def orientations_reference(frame, xs, ys):
-    vals = frame.pixels[ys[:, None] + DISC_DY, xs[:, None] + DISC_DX].astype(np.int64)
-    m10 = vals @ DISC_DX
-    m01 = vals @ DISC_DY
-    angles = np.arctan2(m01.astype(np.float64), m10.astype(np.float64))
-    angles[angles < 0] += 2 * math.pi
-    angles[angles >= 2 * math.pi] = 0.0
-    return angles
-
-
-def describe_reference(frame, xs, ys, orientations):
-    step = 2 * math.pi / ORIENTATION_BINS
-    bins = np.floor(orientations / step + 0.5).astype(np.int64) % ORIENTATION_BINS
-    tables = _ROTATED[bins]
-    img = frame.pixels
-    px = xs[:, None] + tables[:, :, 0]
-    py = ys[:, None] + tables[:, :, 1]
-    qx = xs[:, None] + tables[:, :, 2]
-    qy = ys[:, None] + tables[:, :, 3]
-    bits = img[py, px] < img[qy, qx]
-    return np.packbits(bits, axis=1, bitorder="little")
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +179,18 @@ class TestBinBlocks:
     @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 90),
            height=st.integers(1, 90), style=STYLES)
     def test_non_aligned_frames_through_public_paths(self, seed, width, height, style):
+        # Bin the largest window at (0, 0) that a config may ask for.
         frame = frame_from(seed, width, height, style)
         for factor in (2, 4):
-            if width < factor or height < factor:
+            w, h = _addressable(width, factor), _addressable(height, factor)
+            if not (w and h):
                 continue
-            out = subsample(frame, factor, "bin").pixels
-            h, w = out.shape
-            ref = bin_blocks_reference(frame.pixels[: h * factor, : w * factor], factor)
-            np.testing.assert_array_equal(out, ref)
+            config = SensorConfig(out_width=w // factor, out_height=h // factor,
+                                  frame_rate=60, brief_target=1, brief_max=1, tile_budget=2,
+                                  max_displacement=1, subsample_factor=factor,
+                                  subsample_mode="bin")
+            ref = bin_blocks_reference(frame.pixels[:h, :w], factor)
+            np.testing.assert_array_equal(frontend_apply(frame, config).pixels, ref)
         big = frame_from(seed, 641 + width, 481 + height, style)
         out, scale = downscale_for_of(big)
         even = big.pixels[: (big.height // 2) * 2, : (big.width // 2) * 2]

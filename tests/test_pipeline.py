@@ -1,8 +1,10 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from flowcam import pipeline
 from flowcam.errors import ConfigError, RangeError
 from flowcam.feature_engine import update_threshold
 from flowcam.pipeline import (
@@ -22,14 +24,12 @@ from flowcam.sensor_frontend import (
     FULL_WIDTH,
     Frame,
     SensorConfig,
-    crop,
     downscale_for_of,
     load_config,
     of_scale,
-    subsample,
 )
 from flowcam.wire_format import read_ofv
-from oracles import save_config
+from oracles import bin_blocks_reference, save_config
 
 
 def small_config(**overrides):
@@ -148,16 +148,19 @@ class TestFrontendApply:
         small_config(out_width=64, out_height=32, crop_origin=(96, 416), subsample_factor=4),
     ], ids=["set3", "set5", "set7", "set5-bin", "set7-bin", "crop-2x-bin", "crop-4x"])
     def test_window_view_matches_crop_then_subsample(self, config):
-        # Sub-sampling a view of the window gives what sub-sampling its copy gives.
+        # The window sliced from the array, then decimated or block-averaged.
         rng = np.random.default_rng(4)
         full = Frame(rng.integers(0, 256, size=(FULL_HEIGHT, FULL_WIDTH), dtype=np.uint8))
         f = config.subsample_factor
-        window = crop(full, config.crop_origin, (config.out_width * f, config.out_height * f))
-        if f > 1:
-            window = subsample(window, f, config.subsample_mode)
+        (ox, oy), w, h = config.crop_origin, config.out_width * f, config.out_height * f
+        window = full.pixels[oy : oy + h, ox : ox + w]
+        if config.subsample_mode == "bin":
+            expected = bin_blocks_reference(window, f)
+        else:
+            expected = window[::f, ::f]
         out = frontend_apply(full, config)
         assert out.pixels.flags.c_contiguous
-        assert np.array_equal(out.pixels, window.pixels)
+        assert np.array_equal(out.pixels, expected)
 
     def test_addressable_crop_window_accepted(self):
         cfg = small_config(out_width=320, out_height=240, crop_origin=(64, 32),
@@ -319,6 +322,18 @@ class TestSynthesizeSequence:
     def test_non_finite_duration_rejected(self, duration):
         with pytest.raises(RangeError, match="finite"):
             run_parameter_set(6, "still", duration)
+
+    @pytest.mark.parametrize("duration, n_frames, message", [
+        (10.0, 2**32, "frame count 4294967296; a stream holds fewer than 4294967296"),
+        (10.0, 1, "frame count 1; a run needs at least 2"),
+        (0.001, None, "duration 0.001 s is 0 frames; a run needs at least 2"),
+        (17895697.07, None, "duration 17895697.07 s is 4294967297 frames; a stream"),
+    ])
+    def test_frame_count_checked_before_synthesis(self, duration, n_frames, message):
+        with mock.patch.object(pipeline, "generate_texture",
+                               side_effect=AssertionError("texture generated")):
+            with pytest.raises(RangeError, match=f"^{message}"):
+                run_parameter_set(6, "still", duration, n_frames=n_frames)
 
     def test_same_seed_same_frames(self):
         cfg = PARAMETER_SETS[6]

@@ -29,7 +29,7 @@ from flowcam.scene_synth import (
     render_sequence,
     save_sequence,
 )
-from flowcam.sensor_frontend import Frame, subsample, write_pgm
+from flowcam.sensor_frontend import Frame, write_pgm
 from oracles import (
     box_blur_reference,
     foliage_reference,
@@ -254,7 +254,7 @@ class TestRenderSequence:
             tex, motion, 3, (64, 64), fov=(128, 128), stride=2
         )
         for f, s in zip(full, strided):
-            assert np.array_equal(subsample(f, 2, "decimate").pixels, s.pixels)
+            assert np.array_equal(f.pixels[::2, ::2], s.pixels)
 
 
 VELOCITY = st.one_of(

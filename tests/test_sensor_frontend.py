@@ -9,16 +9,15 @@ from flowcam.sensor_frontend import (
     RATE_TABLE,
     Frame,
     SensorConfig,
-    crop,
     downscale_for_of,
     hardware_reference,
     load_config,
     max_frame_rate,
     read_pgm,
-    subsample,
     write_pgm,
 )
-from oracles import bin_blocks_reference, save_config, subsample_reference
+from flowcam.pipeline import frontend_apply
+from oracles import bin_blocks_reference, save_config
 
 
 def make_frame(width, height, seed=0):
@@ -60,94 +59,86 @@ class TestFrame:
         assert Frame(np.zeros((0, 4), dtype=np.int64)).pixels.shape == (0, 4)
 
 
+def window_config(size, origin=(0, 0), factor=1, mode="decimate"):
+    """A setting that records the `size` output of the window at `origin`."""
+    return SensorConfig(out_width=size[0], out_height=size[1], frame_rate=60,
+                        brief_target=1, brief_max=1, tile_budget=2, max_displacement=1,
+                        crop_origin=origin, subsample_factor=factor, subsample_mode=mode)
+
+
 class TestCrop:
     def test_full_sensor_center_crop(self):
         frame = make_frame(1124, 1364)
-        out = crop(frame, (280, 336), (560, 672))
+        out = frontend_apply(frame, window_config((560, 672), (280, 336)))
         assert (out.width, out.height) == (560, 672)
         assert out.pixels[0, 0] == frame.pixels[336, 280]
         assert out.pixels[671, 559] == frame.pixels[1007, 839]
 
     def test_identity_crop(self):
         frame = make_frame(64, 48)
-        out = crop(frame, (0, 0), (64, 48))
-        assert np.array_equal(out.pixels, frame.pixels)
+        assert frontend_apply(frame, window_config((64, 48))) is frame
 
     def test_single_pixel(self):
         pixels = np.zeros((4, 4), dtype=np.uint8)
         pixels[3, 2] = 77
-        out = crop(Frame(pixels), (2, 3), (1, 1))
+        out = frontend_apply(Frame(pixels), window_config((1, 1), (2, 3)))
         assert (out.width, out.height) == (1, 1)
         assert out.pixels[0, 0] == 77
 
     def test_out_of_bounds_names_coordinate(self):
         frame = make_frame(64, 48)
-        with pytest.raises(BoundsError, match="x"):
-            crop(frame, (60, 0), (8, 8))
-        with pytest.raises(BoundsError, match="y"):
-            crop(frame, (0, 44), (8, 8))
-
-    @given(
-        ox1=st.integers(0, 10), oy1=st.integers(0, 10),
-        ox2=st.integers(0, 10), oy2=st.integers(0, 10),
-        w=st.integers(1, 20), h=st.integers(1, 20),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_crop_composes(self, ox1, oy1, ox2, oy2, w, h):
-        frame = make_frame(64, 64, seed=3)
-        inner = crop(crop(frame, (ox1, oy1), (ox2 + w, oy2 + h)), (ox2, oy2), (w, h))
-        direct = crop(frame, (ox1 + ox2, oy1 + oy2), (w, h))
-        assert np.array_equal(inner.pixels, direct.pixels)
+        with pytest.raises(ConfigError, match=r"^frame 64x48 cannot supply the 8x8 "
+                                              r"window at \(60, 0\)$"):
+            frontend_apply(frame, window_config((8, 8), (60, 0)))
+        with pytest.raises(ConfigError, match=r"^frame 64x48 cannot supply the 8x8 "
+                                              r"window at \(0, 44\)$"):
+            frontend_apply(frame, window_config((8, 8), (0, 44)))
 
 
 class TestSubsample:
     def test_full_sensor_2x_matches_documented_size(self):
         frame = make_frame(1124, 1364)
-        out = subsample(frame, 2, "decimate")
+        out = frontend_apply(frame, window_config((560, 672), factor=2))
         assert (out.width, out.height) == (560, 672)
+        with pytest.raises(ConfigError, match="read 560x672, not 562x682"):
+            window_config((562, 682), factor=2)
 
     def test_full_sensor_4x_matches_documented_size(self):
         frame = make_frame(1124, 1364)
-        out = subsample(frame, 4, "bin")
+        out = frontend_apply(frame, window_config((280, 336), factor=4, mode="bin"))
         assert (out.width, out.height) == (280, 336)
+        with pytest.raises(ConfigError, match="read 280x336, not 281x341"):
+            window_config((281, 341), factor=4, mode="bin")
 
     def test_two_by_two_block(self):
         pixels = np.array([[10, 20], [30, 40]], dtype=np.uint8)
         frame = Frame(pixels)
-        assert subsample(frame, 2, "bin").pixels[0, 0] == 25
-        assert subsample(frame, 2, "decimate").pixels[0, 0] == 10
+        binned = frontend_apply(frame, window_config((1, 1), factor=2, mode="bin"))
+        assert binned.pixels[0, 0] == 25
+        assert frontend_apply(frame, window_config((1, 1), factor=2)).pixels[0, 0] == 10
 
     def test_bin_rounds_half_up(self):
         pixels = np.array([[1, 1], [2, 2]], dtype=np.uint8)  # mean 1.5
-        assert subsample(Frame(pixels), 2, "bin").pixels[0, 0] == 2
+        out = frontend_apply(Frame(pixels), window_config((1, 1), factor=2, mode="bin"))
+        assert out.pixels[0, 0] == 2
 
     @pytest.mark.parametrize("mode", ["decimate", "bin"])
     def test_constant_frame_fixed_point(self, mode):
         frame = Frame(np.full((96, 64), 133, dtype=np.uint8))
-        out = subsample(frame, 2, mode)
+        out = frontend_apply(frame, window_config((32, 48), factor=2, mode=mode))
         assert (out.width, out.height) == (32, 48)
         assert np.all(out.pixels == 133)
 
     def test_decimate_values_come_from_input(self):
         frame = make_frame(64, 64, seed=9)
-        out = subsample(frame, 4, "decimate")
+        out = frontend_apply(frame, window_config((16, 16), factor=4))
         assert np.array_equal(out.pixels, frame.pixels[::4, ::4])
 
-    @given(width=st.integers(4, 200), height=st.integers(4, 200),
-           factor=st.sampled_from([2, 4]), mode=st.sampled_from(["decimate", "bin"]),
-           seed=st.integers(0, 3))
-    @settings(max_examples=120, deadline=None)
-    def test_non_aligned_sizes_match_crop_then_reduce(self, width, height, factor,
-                                                      mode, seed):
-        frame = make_frame(width, height, seed)
-        out = subsample(frame, factor, mode)
-        assert np.array_equal(out.pixels, subsample_reference(frame, factor, mode))
-
     def test_bad_factor_rejected(self):
-        with pytest.raises(ConfigError):
-            subsample(make_frame(64, 64), 3, "bin")
-        with pytest.raises(ConfigError):
-            subsample(make_frame(64, 64), 2, "area")
+        with pytest.raises(ConfigError, match="subsample_factor must be 1, 2 or 4, got 3"):
+            window_config((16, 16), factor=3, mode="bin")
+        with pytest.raises(ConfigError, match="unknown subsample_mode 'area'"):
+            window_config((32, 32), factor=2, mode="area")
 
 
 class TestDownscaleForOf:
@@ -186,9 +177,9 @@ class TestDownscaleForOf:
     def test_odd_size_bins_the_even_top_left_crop(self, w, h):
         frame = make_frame(w, h, seed=h)
         out, scale = downscale_for_of(frame)
-        even = crop(frame, (0, 0), (w // 2 * 2, h // 2 * 2))
+        even = frame.pixels[: h // 2 * 2, : w // 2 * 2]
         assert scale == 2
-        assert np.array_equal(out.pixels, bin_blocks_reference(even.pixels, 2))
+        assert np.array_equal(out.pixels, bin_blocks_reference(even, 2))
 
     def test_binning_used_not_decimation(self):
         pixels = np.zeros((700, 700), dtype=np.uint8)
