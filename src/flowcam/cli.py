@@ -23,6 +23,7 @@ from .pipeline import (
     INITIAL_THRESHOLD,
     PARAMETER_SETS,
     SCENARIOS,
+    check_frame_count,
     finalize_report,
     frame_count,
     run_pipeline,
@@ -86,6 +87,8 @@ def _resolve_config(args) -> SensorConfig:
 
 
 def cmd_gen(args) -> int:
+    # `run --seq` reads the sequence back, so it must hold a runnable count.
+    check_frame_count(args.frames)
     if not (args.frame_rate > 0 and math.isfinite(args.frame_rate)):
         raise RangeError(f"frame_rate must be positive and finite, got {args.frame_rate}")
     viewport = _size(args.viewport, "--viewport")
@@ -208,10 +211,6 @@ def cmd_tracks(args) -> int:
 def cmd_report(args) -> int:
     width, height, per_frame = read_ofv(args.ofv)
     gt = read_ground_truth_csv(args.gt)
-    if len(gt) != len(per_frame):
-        raise FlowcamError(
-            f"ground truth has {len(gt)} frames, stream has {len(per_frame)}"
-        )
     analysis = analyze(per_frame, gt, args.max_gap, args.radius)
     write_analysis(analysis, gt, args.out, "report")
     accuracy = analysis.accuracy

@@ -294,17 +294,24 @@ def frame_count(config: SensorConfig, duration_s: float, n_frames: int | None = 
     """Frames in a run: `n_frames`, or, when that is None, `duration_s`
     seconds at the config's rate.
 
-    A run needs 2 frames to match one pair, and an .ofv header must hold the
-    count. Callers take the count from here before synthesizing, so a bad one
-    fails before any texture is built.
+    Callers take the count from here before synthesizing, so a bad one fails
+    before any texture is built.
     """
-    if n_frames is None:
-        if not math.isfinite(duration_s):
-            raise RangeError(f"duration must be finite, got {duration_s}")
-        n_frames = round(config.frame_rate * duration_s)
-        count = f"duration {duration_s} s is {n_frames} frames"
-    else:
-        count = f"frame count {n_frames}"
+    if n_frames is not None:
+        return check_frame_count(n_frames)
+    if not math.isfinite(duration_s):
+        raise RangeError(f"duration must be finite, got {duration_s}")
+    n_frames = round(config.frame_rate * duration_s)
+    return check_frame_count(n_frames, f"duration {duration_s} s is {n_frames} frames")
+
+
+def check_frame_count(n_frames: int, count: str | None = None) -> int:
+    """`n_frames`, if a sequence of that many frames can be run and streamed.
+
+    A run needs 2 frames to match one pair, and an .ofv header must hold the
+    count. `count` describes where the number came from in the error.
+    """
+    count = count or f"frame count {n_frames}"
     if n_frames < 2:
         raise RangeError(f"{count}; a run needs at least 2")
     if n_frames >= HEADER_FIELD_LIMIT:

@@ -123,10 +123,10 @@ class SensorConfig:
         read = tuple(_addressable(dim, f) for dim in window)
         if f > 1 and read != window:
             raise ConfigError(
-                f"crop window {window[0]}x{window[1]} is cut to "
-                f"{read[0]}x{read[1]} for {f}x sub-sampling, so the frontend "
-                f"would read {read[0] // f}x{read[1] // f}, not "
-                f"{self.out_width}x{self.out_height}"
+                f"crop window {window[0]}x{window[1]} is off the sensor's "
+                f"{SUBSAMPLE_ALIGN}-px sub-sampling grid: its {f}x sub-sampler "
+                f"would address {read[0]}x{read[1]} and read "
+                f"{read[0] // f}x{read[1] // f}, not {self.out_width}x{self.out_height}"
             )
         if cx + window[0] > FULL_WIDTH or cy + window[1] > FULL_HEIGHT:
             raise ConfigError(

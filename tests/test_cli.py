@@ -290,6 +290,32 @@ class TestTypedInputErrors:
         assert err.startswith(f"flowcam run: {message}")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("frames, message", [
+        (0, "frame count 0; a run needs at least 2"),
+        (1, "frame count 1; a run needs at least 2"),
+        (2**32, "frame count 4294967296; a stream holds fewer than 4294967296"),
+    ])
+    def test_gen_frame_count_checked_before_synthesis(self, capsys, monkeypatch, tmp_path,
+                                                      frames, message):
+        def unreachable(spec):
+            raise AssertionError("texture generated")
+
+        monkeypatch.setattr("flowcam.cli.generate_texture", unreachable)
+        err = self.run_main(capsys, "gen", "--motion", "still", "--frames", frames,
+                            "--out", tmp_path / "seq")
+        assert err == f"flowcam gen: {message}\n"
+        assert not (tmp_path / "seq").exists()
+
+    def test_report_ground_truth_of_another_length(self, capsys, tmp_path):
+        ofv = tmp_path / "s.ofv"
+        write_ofv(ofv, 16, 16, VectorTable.from_frames([np.empty((0, 6), "<i2")] * 2))
+        gt = tmp_path / "gt.csv"
+        gt.write_text("frame,gt_dx,gt_dy\n0,0.0,0.0\n1,1.0,0.0\n2,1.0,0.0\n")
+        err = self.run_main(capsys, "report", "--ofv", ofv, "--gt", gt,
+                            "--out", tmp_path / "r")
+        assert err == "flowcam report: estimate has 2 frames, ground truth 3\n"
+        assert list(tmp_path.glob("**/report_*.csv")) == []
+
     @pytest.mark.parametrize("args", [
         ("gen", "--texture", "blocks", "--viewport", "64x64", "--motion", "still",
          "--frames", 2, "--frame-rate", 240),

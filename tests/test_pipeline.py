@@ -113,9 +113,9 @@ class TestFrontendApply:
             frontend_apply(frame, PARAMETER_SETS[3])
 
     def test_crop_the_subsampler_would_cut_rejected(self):
-        # A 600x480 window sub-sampled 2x is cut to 576x480 first, so a
-        # full-sensor frame would come out 288x240, not the 300x240 that
-        # synthesis would render. Without crop keys the window is at (0, 0).
+        # 600 px is off the sensor's 32-px sub-sampling grid: its 2x
+        # sub-sampler would address 576x480 and read 288x240, not the 300x240
+        # the config asks for. Without crop keys the window is at (0, 0).
         with pytest.raises(ConfigError, match="crop window 600x480 .* read 288x240"):
             small_config(out_width=300, out_height=240, crop_origin=(0, 0),
                          subsample_factor=2)
