@@ -4,7 +4,9 @@ Per-frame flow vectors are chained into multi-frame tracks by exact endpoint
 continuation (the emulator works in integer coordinates, so no tolerance is
 involved). Interrupted tracks can be re-joined across short gaps, and mean
 flow / traveled distance are compared against analytic or ingested ground
-truth.
+truth. Each step takes a whole run at once: linking joins every frame pair
+in one pass, re-detection tables every track end's candidates once, and
+the mean flow of every frame comes from one segmented sum.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AlignmentError, FlowcamError, RangeError
-from .matcher import VectorBatch
 from .wire_format import VectorTable
 
 # Default re-detection window: frames a track may vanish for, and how far
@@ -71,70 +72,130 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def _point_keys(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """One int64 per (x, y), equal exactly when both coordinates are.
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """`keys` sorted stably, the order that sorts them (None when they already
+    ascend, as a pipeline stream's tails do), and a mask of the first key of
+    each run of equal keys in sorted order."""
+    order = None
+    if not (keys[1:] >= keys[:-1]).all():
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys, order, first
 
-    Injective for int64 coordinates in [-2**31, 2**31): a stream's positions
-    below 2048 plus signed 16-bit displacements lie well inside. Keys
-    ascend in row-major order, the order the matcher emits tails in, so the
-    stable sorts below mostly meet presorted runs.
-    """
-    return y * (1 << 32) + x
+
+def _unsorted(order: np.ndarray | None, mask: np.ndarray) -> np.ndarray:
+    """The input indices of the sorted positions that `mask` selects."""
+    return np.flatnonzero(mask) if order is None else order[mask]
 
 
-def link_tracks(per_frame_vectors: VectorTable) -> TrackSet:
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """Follow `parent` pointers (a root points at itself) to their roots by
+    pointer jumping: each round halves every remaining path."""
+    while True:
+        up = np.take(parent, parent)
+        if np.array_equal(up, parent):
+            return parent
+        parent = up
+
+
+def link_tracks(table: VectorTable) -> TrackSet:
     """Chain flow vectors into tracks.
 
-    Frame t of the input holds the vectors from frame t-1 to frame t (frame 0
+    Frame t of the table holds the vectors from frame t-1 to frame t (frame 0
     is normally empty). A vector extends the track whose last point is exactly
     its previous-frame position; otherwise it starts a new two-point track.
     When two tracks converge on the same point, the older one (the earlier
     row) keeps it; when two vectors leave the same point, the earlier row
     continues the track. New tracks are numbered by frame, then row.
 
-    Frame t-1's heads are sorted by position once, and frame t's distinct
-    tails are looked up among them with one `searchsorted`. A track gains
-    one point in each frame from its first one on, so a point's row in
-    `points` is its track's offset plus its frame's distance from the
-    track's first frame: a second pass over the frames writes every point
-    in place, with no sort and no copy of the whole run's points.
+    The whole run is linked at once. Each vector's tail is keyed as (t, y, x)
+    and its head as (t + 1, y + dy, x + dx), so a tail meets only the heads
+    of the frame before. The first vector of each distinct tail is joined to
+    the first vector of the equal head with one `searchsorted`, which gives
+    each vector at most one predecessor; pointer jumping then finds each
+    vector's root, the first vector of its track. A track gains one point in
+    each frame from its first one on, so a point's row in `points` is its
+    track's offset plus its frame's distance from the track's first frame,
+    and every point is written straight to its row. Keys and indices are
+    int32 whenever the run's range fits.
     """
-    frame_ids = []  # per frame: each vector's track id, and the vectors that start one
-    head_keys = head_ids = np.empty(0, dtype=np.int64)
-    n_tracks = 0
-    for vectors in per_frame_vectors:
-        # Wire records are int16: x + dx and the point keys need int64.
-        x, y, dx, dy = vectors.rows.astype(np.int64).T[:4]
-        tid = np.full(x.size, -1, dtype=np.int64)
-        tails, first = np.unique(_point_keys(x, y), return_index=True)
-        pos = np.searchsorted(head_keys, tails)
-        hit = pos < head_keys.size
-        hit[hit] = head_keys[pos[hit]] == tails[hit]
-        tid[first[hit]] = head_ids[pos[hit]]
-        new = np.flatnonzero(tid < 0)
-        tid[new] = np.arange(n_tracks, n_tracks + new.size)
-        n_tracks += new.size
-        frame_ids.append((tid, new))
-        head_keys, first = np.unique(_point_keys(x + dx, y + dy), return_index=True)
-        head_ids = tid[first]
-    # Ids count up by frame, and a track started in frame t begins at t - 1.
-    first_frame = np.repeat(np.arange(-1, len(frame_ids) - 1),
-                            [new.size for _, new in frame_ids])
-    last_frame = np.empty(n_tracks, dtype=np.int64)
-    for t, (tid, _) in enumerate(frame_ids):
-        last_frame[tid] = t  # a track continues through at most one vector a frame
-    offsets = _offsets(last_frame - first_frame + 1)
-    row_base = offsets[:-1] - first_frame  # the row of a track's point in frame 0
+    rows = table.rows
+    n = rows.shape[0]
+    if not n:
+        return TrackSet(np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64),
+                        np.zeros(1, dtype=np.int64), np.empty((0, 2), dtype=np.int64),
+                        np.zeros(1, dtype=np.int64))
+    # Wire records are int16, so heads are summed wider.
+    wide = np.promote_types(rows.dtype, np.int32)
+
+    def heads(k):
+        return np.add(rows[:, k], rows[:, k + 2], dtype=wide)
+
+    lo, size = [], []  # the box of every tail and head, x then y
+    for k in (0, 1):
+        head = heads(k)
+        lo.append(min(int(rows[:, k].min()), int(head.min())))
+        size.append(max(int(rows[:, k].max()), int(head.max())) - lo[k] + 1)
+    del head
+    width, height = size
+    n_frames = len(table)
+    # Frame, vector and point indices, and the keys below, are int32 when they fit.
+    index = np.int32 if 2 * n + n_frames < 1 << 31 else np.int64
+    key = np.int32 if (n_frames + 1) * height * width < 1 << 31 else np.int64
+    frame = np.repeat(np.arange(n_frames, dtype=index), np.diff(table.offsets))
+
+    def keys(px, py, shift):
+        # (frame + shift, py, px) counted from the box's corner, ascending in that order
+        k = frame.astype(key)
+        k += shift
+        k *= height
+        k += np.subtract(py, lo[1], dtype=wide)
+        k *= width
+        k += np.subtract(px, lo[0], dtype=wide)
+        return k
+
+    tail_keys, tail_order, lead = _runs(keys(rows[:, 0], rows[:, 1], 0))
+    head_keys, head_order, first = _runs(keys(heads(0), heads(1), 1))
+    head_keys = head_keys[first]
+    pos = np.searchsorted(head_keys, tail_keys)
+    pos[pos == head_keys.size] = 0
+    lead &= np.take(head_keys, pos) == tail_keys  # the tails that continue a track
+    # Each step drops what it has spent, to keep the peak near the points' size.
+    del tail_keys, head_keys
+    pred = np.take(_unsorted(head_order, first), pos)
+    del head_order, first, pos
+    # Each vector points at its predecessor, or at itself in a root.
+    root = np.arange(n, dtype=index)
+    root[_unsorted(tail_order, lead)] = pred[lead]
+    del tail_order, lead, pred
+    is_root = root == np.arange(n, dtype=index)
+    root = _roots(root)
+    # Roots ascend by frame, then row, so their rank is the track id.
+    track = np.cumsum(is_root, dtype=index)
+    track -= 1
+    track = np.take(track, root)
+    del root
+    roots = np.flatnonzero(is_root)
+    del is_root
+    root_frame = np.take(frame, roots)
+    n_tracks = roots.size
+    offsets = _offsets(np.bincount(track, minlength=n_tracks) + 1)
+    # A track's point in frame t lies at offsets[track] + t - (root_frame - 1).
+    row = np.take((offsets[:-1] + 1 - root_frame).astype(index), track)
+    del track
+    row += frame
     points = np.empty((offsets[-1], 3), dtype=np.int64)
-    for t, (vectors, (tid, new)) in enumerate(zip(per_frame_vectors, frame_ids)):
-        x, y, dx, dy = vectors.rows.astype(np.int64).T[:4]
-        row = row_base[tid] + t
-        # The new tracks' first points, then every head, as (frame, x, y).
-        block = np.empty((new.size + x.size, 3), dtype=np.int64)
-        for k, (start, head) in enumerate(((t - 1, t), (x[new], x + dx), (y[new], y + dy))):
-            block[:new.size, k] = start
-            block[new.size:, k] = head
-        points[np.concatenate((row[new] - 1, row))] = block
+    points[row, 0] = frame
+    del frame
+    points[row, 1] = heads(0)
+    points[row, 2] = heads(1)
+    del row
+    root_rows = offsets[:-1]  # a root's tail is its track's first point
+    points[root_rows, 0] = root_frame - 1
+    points[root_rows, 1:] = np.take(rows[:, :2], roots, axis=0)
     return TrackSet(
         np.arange(n_tracks, dtype=np.int64),
         points,
@@ -160,15 +221,16 @@ def _candidate_table(
     so key(end) + key(offset) is the key of the shifted point (the key
     stays below 2**63 for any stream the wire format can carry). The starts
     within `radius` in x of a probed (frame, y) are one run of the sorted
-    start keys; the probes of all (frame, y) offsets are bounded with two
-    `searchsorted` calls over a chunk of the ends in key order, so each
-    offset's probes arrive sorted. Chunks keep the probe arrays within
+    start keys. One `searchsorted` finds the first start at or after each
+    probe window, over a chunk of the ends in key order, so each offset's
+    probes arrive sorted; only the few windows whose first start lies
+    inside are bounded on the right. Chunks keep the probe arrays within
     `_PROBE_BYTES`; the final sort orders the pairs whatever the chunking.
     """
     n = ids.size
-    both = np.concatenate((starts, ends))
-    f0, x0, y0 = both.min(axis=0)
-    _, x1, y1 = both.max(axis=0)
+    # Column by column: an axis-0 reduction over three columns is far slower.
+    f0, x0, y0 = (min(starts[:, k].min(), ends[:, k].min()) for k in range(3))
+    x1, y1 = (max(starts[:, k].max(), ends[:, k].max()) for k in (1, 2))
     width = x1 - x0 + 2 * radius + 1
     height = y1 - y0 + 2 * radius + 1
 
@@ -180,22 +242,22 @@ def _candidate_table(
     dy = np.arange(-radius, radius + 1)
     probe = ((df[:, None] * height + dy).ravel() * width - radius)[:, None]
     start_order = np.lexsort((ids, keys(starts)))
-    start_keys = keys(starts)[start_order]
+    # A sentinel past every key gives each window a first start to compare.
+    start_keys = np.append(keys(starts)[start_order], np.iinfo(np.int64).max)
     end_keys = keys(ends)
     end_order = np.argsort(end_keys, kind="stable")
-    # window, lo, counts and hit take 8 bytes a probe each
+    # window, lo, the first start and its bound take 8 bytes a probe each
     step = max(1, _PROBE_BYTES // (32 * max(probe.size, 1)))
     ranks, pair_ends = [], []
     for i in range(0, n, step):
         chunk = end_order[i : i + step]
         window = (end_keys[chunk] + probe).ravel()
-        lo = np.searchsorted(start_keys, window, side="left")
+        lo = np.searchsorted(start_keys, window)
         window += 2 * radius
-        counts = np.searchsorted(start_keys, window, side="right")
-        counts -= lo
-        hit = np.flatnonzero(counts)
-        counts = counts[hit]
-        ranks.append(_segment_gather(lo[hit], counts))  # position among the sorted starts
+        hit = np.flatnonzero(start_keys[lo] <= window)
+        lo = lo[hit]
+        counts = np.searchsorted(start_keys, window[hit], side="right") - lo
+        ranks.append(_segment_gather(lo, counts))  # position among the sorted starts
         pair_ends.append(np.repeat(chunk[hit % chunk.size], counts))
     rank = np.concatenate(ranks)
     end = np.concatenate(pair_ends)
@@ -217,8 +279,12 @@ def redetect(tracks: TrackSet, max_gap: int, radius: int) -> TrackSet:
 
     The candidates of every track end are tabled once. A merged track ends
     where the last track it absorbed ends, so only ends that have candidates
-    ever enter the heap. The input is not modified; when nothing merges it
-    is returned as it is.
+    ever enter the heap, and the greedy merge touches no other track. The
+    merged tracks are then assembled in arrays: each absorbed track points
+    at its predecessor, pointer jumping finds each chain's first track, and
+    ordering by (first track, start frame) lays every chain out in order,
+    since a track starts after its predecessor ends. The input is not
+    modified; when nothing merges it is returned as it is.
     """
     if max_gap < 1:
         raise RangeError(f"max_gap must be at least 1, got {max_gap}")
@@ -227,53 +293,53 @@ def redetect(tracks: TrackSet, max_gap: int, radius: int) -> TrackSet:
     n = len(tracks)
     if not n:
         return tracks
-    starts = tracks.points[tracks.offsets[:-1]]
-    ends = tracks.points[tracks.offsets[1:] - 1]
+    starts = np.take(tracks.points, tracks.offsets[:-1], axis=0)
+    ends = np.take(tracks.points, tracks.offsets[1:] - 1, axis=0)
     cand, cand_offsets = _candidate_table(starts, ends, tracks.ids, max_gap, radius)
 
-    cand, co = cand.tolist(), cand_offsets.tolist()
-    end_frame, ids = ends[:, 0].tolist(), tracks.ids.tolist()
-    heap = [(end_frame[k], ids[k], k) for k in np.flatnonzero(np.diff(cand_offsets)).tolist()]
+    # The greedy merge, over the ends that have candidates only.
+    open_ends = np.flatnonzero(np.diff(cand_offsets))
+    cand = cand.tolist()
+    options = {e: cand[a:b] for e, a, b in zip(open_ends.tolist(),
+                                               cand_offsets[open_ends].tolist(),
+                                               cand_offsets[open_ends + 1].tolist())}
+    end_frame = dict(zip(options, ends[open_ends, 0].tolist()))
+    heap = list(zip(end_frame.values(), tracks.ids[open_ends].tolist(), options))
     heapq.heapify(heap)
-    absorbed = [False] * n
-    nxt = [-1] * n  # the track absorbed after this one in its chain
-    last = list(range(n))  # the last track of the chain headed by this one
+    after = {}  # a track's successor in its chain
+    absorbed = set()
+    last = {}  # the last track of a chain, by its first track, once it has merged
     while heap:
         _, tid, k = heapq.heappop(heap)
-        if absorbed[k]:
+        if k in absorbed:
             continue
-        e = last[k]
-        for i in range(co[e], co[e + 1]):
-            if not absorbed[cand[i]]:
-                break
-        else:
+        e = last.get(k, k)
+        s = next((c for c in options[e] if c not in absorbed), None)
+        if s is None:
             continue
-        s = cand[i]
-        absorbed[s] = True
-        nxt[e] = s
-        last[k] = e = last[s]
-        if co[e] < co[e + 1]:
+        after[e] = s
+        absorbed.add(s)
+        last[k] = e = last.get(s, s)
+        if e in options:
             heapq.heappush(heap, (end_frame[e], tid, k))
-    if not any(absorbed):
+    if not after:
         return tracks
 
-    chain, heads = [], []  # tracks in output order; where each chain starts
-    for k in range(n):
-        if not absorbed[k]:
-            heads.append(len(chain))
-            while k >= 0:
-                chain.append(k)
-                k = nxt[k]
-    heads.append(n)
-    chain = np.array(chain, dtype=np.int64)
-    heads = np.array(heads, dtype=np.int64)
+    extended, joined = (np.fromiter(side, dtype=np.int64, count=len(after))
+                        for side in (after, after.values()))
+    pred = np.arange(n)  # a chain's first track points at itself
+    pred[joined] = extended
+    succ = np.full(n, -1)
+    succ[extended] = joined
+    chain = np.lexsort((starts[:, 0], _roots(pred)))  # tracks in output order
+    heads = np.append(np.flatnonzero(pred[chain] == chain), n)  # where each chain starts
     lengths = np.diff(tracks.offsets)[chain]
-    points = tracks.points[_segment_gather(tracks.offsets[chain], lengths)]
+    points = np.take(tracks.points, _segment_gather(tracks.offsets[chain], lengths), axis=0)
 
     # Each track contributes its own gaps, then the gap to its successor.
-    after = np.array(nxt, dtype=np.int64)[chain]
-    linked = after >= 0
-    link_gaps = np.stack((ends[chain, 0] + 1, starts[after, 0] - 1), axis=1)
+    succ = succ[chain]
+    linked = succ >= 0
+    link_gaps = np.stack((ends[chain, 0] + 1, starts[succ, 0] - 1), axis=1)
     gap_counts = np.diff(tracks.gap_offsets)[chain] + linked
     gap_rows = _segment_gather(tracks.gap_offsets[chain], gap_counts)
     gap_rows[(np.cumsum(gap_counts) - 1)[linked]] = len(tracks.gaps) + np.flatnonzero(linked)
@@ -288,17 +354,21 @@ def redetect(tracks: TrackSet, max_gap: int, radius: int) -> TrackSet:
     )
 
 
-def mean_flow(vectors: VectorBatch) -> tuple[float, float] | None:
-    """Arithmetic mean displacement, or None when there are no vectors.
+def mean_flow(table: VectorTable) -> list[tuple[float, float] | None]:
+    """Each frame's arithmetic mean displacement, None for a frame without
+    vectors.
 
-    Each column's integer sum is divided by n as a Python int, so the
-    floats equal the per-vector `sum(...) / n` exactly.
+    One `reduceat` sums the dx and dy columns of every frame that has
+    vectors, in int64. Each frame's sums are divided by its count as Python
+    ints, so the floats equal the per-vector `sum(...) / n` exactly.
     """
-    n = len(vectors)
-    if not n:
-        return None
-    dx, dy = int(vectors.rows[:, 2].sum()), int(vectors.rows[:, 3].sum())
-    return (dx / n, dy / n)
+    counts = np.diff(table.offsets)
+    filled = np.flatnonzero(counts)
+    sums = np.zeros((counts.size, 2), dtype=np.int64)
+    sums[filled] = np.add.reduceat(table.rows[:, 2:4], table.offsets[filled], axis=0,
+                                   dtype=np.int64)
+    return [None if not n else (dx / n, dy / n)
+            for (dx, dy), n in zip(sums.tolist(), counts.tolist())]
 
 
 def traveled_distance(
@@ -390,7 +460,7 @@ def analyze(
 ) -> Analysis:
     """Mean flow, accuracy against ground truth when given, tracks and their
     one summary."""
-    estimates = [mean_flow(v) for v in per_frame_vectors]
+    estimates = mean_flow(per_frame_vectors)
     accuracy = None if ground_truth is None else accuracy_metrics(estimates, ground_truth)
     tracks = redetect(link_tracks(per_frame_vectors), max_gap, radius)
     summary = track_stats(tracks)

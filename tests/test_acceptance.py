@@ -43,7 +43,7 @@ def translation_rel_error(set_id, seed, speed_px_s, n_frames):
         set_id, "translate-easy", 0.0, n_frames=n_frames, seed=seed,
         speed_px_s=speed_px_s,
     )
-    flows = [mean_flow(v) for v in vectors]
+    flows = mean_flow(vectors)
     per_frame = speed_px_s / cfg.frame_rate / (cfg.subsample_factor * of_scale(cfg.out_width, cfg.out_height))
     gt_total = per_frame * (n_frames - 1)
     est_total = traveled_distance(flows)[-1]

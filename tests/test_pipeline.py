@@ -260,7 +260,7 @@ class TestRunPipeline:
         vectors, report = run_parameter_set(
             3, "translate-easy", 0.0, n_frames=80, seed=0, speed_px_s=420.0
         )
-        flows = [mean_flow(v) for v in list(vectors)[21:]]
+        flows = mean_flow(vectors)[21:]
         assert all(f is not None for f in flows)
         assert all(abs(f[0] - 3.0) <= 0.25 and abs(f[1]) <= 0.25 for f in flows)
 

@@ -37,8 +37,8 @@ from oracles import tracks as track_records
 
 
 def batches(per_frame):
-    """Per-frame record lists as the per-frame batches the analysis takes."""
-    return [vector_batch(vectors) for vectors in per_frame]
+    """Per-frame record lists as the int64 `VectorTable` the analysis takes."""
+    return VectorTable.from_frames([vector_batch(vectors).rows for vectors in per_frame])
 
 
 def vec(x_prev, y_prev, dx=1, dy=0, best=0, second=256):
@@ -69,7 +69,7 @@ class TestLinkTracks:
                                   tracks.gap_offsets)} == {np.dtype(np.int64)}
 
     def test_empty_input(self):
-        assert list(track_records(link_tracks([]))) == []
+        assert list(track_records(link_tracks(batches([])))) == []
         assert list(track_records(link_tracks(batches([[], [], []])))) == []
 
     def test_one_pixel_offset_breaks_chain(self):
@@ -309,6 +309,41 @@ WIRE_LIMITS = [[vec(65535, 0, -32767, 32767)], [vec(32768, 32767, 32767, -32767)
                [vec(65535, 0, 0, 0), vec(0, 65535, 0, 0)]]
 
 
+@st.composite
+def long_runs(draw):
+    """30-150 frames: chains that run through the whole draw, a few shorter
+    ones, and sparse vectors from frame 0 on in a small box the chains cross,
+    so tails repeat and heads converge. Up to four frames are emptied, and
+    rows are either in the pipeline's (y, x) order or in drawn order."""
+    n_frames = draw(st.integers(30, 150))
+    per_frame = [[] for _ in range(n_frames)]
+    steps = st.integers(-1, 1)
+    for whole in [True] * draw(st.integers(1, 2)) + [False] * draw(st.integers(0, 3)):
+        first = 0 if whole else draw(st.integers(0, n_frames - 1))
+        last = n_frames if whole else draw(st.integers(first + 1, n_frames))
+        x, y = draw(st.integers(195, 205)), draw(st.integers(195, 205))
+        dx, dy = draw(steps), draw(steps)
+        for t in range(first, last):
+            per_frame[t].append(vec(x, y, dx, dy))
+            x, y = x + dx, y + dy
+    box = st.integers(195, 205)
+    for t, x, y, dx, dy in draw(st.lists(
+            st.tuples(st.integers(0, n_frames - 1), box, box, steps, steps), max_size=40)):
+        per_frame[t].append(vec(x, y, dx, dy))
+    for t in draw(st.sets(st.integers(0, n_frames - 1), max_size=4)):
+        per_frame[t] = []
+    if draw(st.booleans()):
+        per_frame = [sorted(vectors, key=lambda v: (v.y_prev, v.x_prev)) for vectors in per_frame]
+    return per_frame
+
+
+# 24 features under a constant (1, 1) flow for 600 frames; feature k skips
+# the frames t with (t + 37 k) % 397 == 0, so its track breaks there.
+CONSTANT_FLOW_600 = [[vec(8 * k + t - 1, t - 1, 1, 1) for k in range(24)
+                      if t and (t + 37 * k) % 397]
+                     for t in range(600)]
+
+
 class TestLinkOracle:
     @given(st.lists(st.lists(VECTORS, max_size=8), max_size=7))
     @example(DUPLICATE_TAILS)
@@ -342,14 +377,25 @@ class TestLinkOracle:
         assert link_tracks(table) == link_tracks(batches(per_frame))
         assert len(link_tracks(table)) == 2
 
-    def test_full_array_stream_under_4_5_mb(self):
+    @given(long_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_long_runs_match_per_vector_dict(self, per_frame):
+        vectors = batches(per_frame)
+        assert (as_tuples(track_records(link_tracks(vectors)))
+                == as_tuples(link_tracks_reference(vectors)))
+
+    def test_600_frame_constant_flow_matches_per_vector_dict(self):
+        vectors = batches(CONSTANT_FLOW_600)
+        tracks = link_tracks(vectors)
+        assert as_tuples(track_records(tracks)) == as_tuples(link_tracks_reference(vectors))
+        # Tracks of more than 256 points take pointer jumping past 8 rounds.
+        assert np.diff(tracks.offsets).max() > 256 and len(tracks) > 24
+
+    def test_full_array_stream_under_4_5_mb(self, still_stream):
         # A 30-frame set-1 still stream: about 56 000 vectors in 2 500 tracks.
         # Four int64 columns per point, joined while the per-frame list was
         # alive and then gathered into three temporaries, came to about 7 MB.
-        config = PARAMETER_SETS[1]
-        frames, _ = synthesize_sequence(config, "still", 30, seed=0)
-        vectors, _ = run_pipeline(config, frames)
-        del frames
+        vectors = still_stream
         assert len(vectors) == 30 and vectors.rows.shape[0] > 50_000
         tracks = link_tracks(vectors)
         tracemalloc.start()
@@ -359,6 +405,15 @@ class TestLinkOracle:
         finally:
             tracemalloc.stop()
         assert peak < 4.5e6
+
+
+@pytest.fixture(scope="module")
+def still_stream():
+    """The seed-0 30-frame set-1 still stream."""
+    config = PARAMETER_SETS[1]
+    frames, _ = synthesize_sequence(config, "still", 30, seed=0)
+    vectors, _ = run_pipeline(config, frames)
+    return vectors
 
 
 @pytest.fixture(scope="module", params=[(1, "still", 6), (3, "rotate", 24),
@@ -376,7 +431,7 @@ class TestAnalyze:
         per_frame = batches([[], [vec(5, 5), vec(9, 9, 0, 1)], [vec(6, 5)], [], []])
         gt = [(1.0, 0.0)] * len(per_frame)
         result = analyze(per_frame, gt, max_gap=2, radius=1)
-        est = [mean_flow(v) for v in per_frame]
+        est = mean_flow(per_frame)
         assert result.estimates == est
         assert result.accuracy == accuracy_metrics(est, gt)
         assert result.tracks == redetect(link_tracks(per_frame), 2, 1)
@@ -390,6 +445,18 @@ class TestAnalyze:
         assert result.accuracy is None
         assert result.summary == track_stats(result.tracks)
 
+    def test_full_array_stream_under_2_7_mb(self, still_stream):
+        # Linking holds its int32 keys and indices beside the 1.4 MB of points,
+        # re-detection its probe windows beside the linked tracks.
+        result = analyze(still_stream)
+        tracemalloc.start()
+        try:
+            assert analyze(still_stream).tracks == result.tracks
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.7e6
+
     def test_tracks_match_references_on_short_runs(self, seed0_vectors):
         tracks = analyze(seed0_vectors).tracks
         expected = redetect_reference(link_tracks_reference(seed0_vectors),
@@ -401,32 +468,41 @@ class TestAnalyze:
 class TestMeanFlow:
     def test_constant_field(self):
         vectors = [vec(i, 0, 1, 0) for i in range(5)]
-        assert mean_flow(vector_batch(vectors)) == (1.0, 0.0)
+        assert mean_flow(batches([vectors])) == [(1.0, 0.0)]
 
     def test_empty_is_no_data(self):
-        assert mean_flow(vector_batch([])) is None
+        assert mean_flow(batches([[]])) == [None]
+        assert mean_flow(batches([])) == []
 
     def test_mixed(self):
         vectors = [vec(0, 0, 2, 0), vec(1, 0, 4, 0), vec(2, 0, 0, 6)]
-        assert mean_flow(vector_batch(vectors)) == (2.0, 2.0)
+        assert mean_flow(batches([vectors])) == [(2.0, 2.0)]
 
     def test_union_is_weighted_mean(self):
         rng = np.random.default_rng(2)
         a = [vec(0, 0, int(rng.integers(-5, 6)), int(rng.integers(-5, 6))) for _ in range(7)]
         b = [vec(0, 0, int(rng.integers(-5, 6)), int(rng.integers(-5, 6))) for _ in range(13)]
-        ma, mb, mu = (mean_flow(vector_batch(v)) for v in (a, b, a + b))
+        ma, mb, mu = mean_flow(batches([a, b, a + b]))
         assert mu[0] == pytest.approx((7 * ma[0] + 13 * mb[0]) / 20)
         assert mu[1] == pytest.approx((7 * ma[1] + 13 * mb[1]) / 20)
 
-    @given(st.lists(st.tuples(st.integers(-2048, 2048), st.integers(-2048, 2048)),
-                    min_size=1, max_size=60))
+    @given(st.lists(st.lists(st.tuples(st.integers(-2048, 2048), st.integers(-2048, 2048)),
+                             max_size=60), min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
-    def test_equals_record_sums(self, flows):
-        """Bit-equal to the per-record sum divided by the count."""
-        vectors = [vec(0, 0, dx, dy) for dx, dy in flows]
-        n = len(vectors)
-        expected = (sum(v.dx for v in vectors) / n, sum(v.dy for v in vectors) / n)
-        assert mean_flow(vector_batch(vectors)) == expected
+    def test_equals_record_sums(self, per_frame_flows):
+        """Bit-equal to each frame's per-record sum divided by its count."""
+        per_frame = [[vec(0, 0, dx, dy) for dx, dy in flows] for flows in per_frame_flows]
+        expected = [(sum(v.dx for v in vectors) / len(vectors),
+                     sum(v.dy for v in vectors) / len(vectors)) if vectors else None
+                    for vectors in per_frame]
+        assert mean_flow(batches(per_frame)) == expected
+
+    def test_int16_table_sums_wider(self):
+        # 40 000 displacements at the int16 limits sum far outside int16.
+        rows = np.zeros((40_000, 6), dtype="<i2")
+        rows[:, 2:4] = -(2**15), 2**15 - 1
+        table = VectorTable(rows, np.array([0, 0, 40_000, 40_000]))
+        assert mean_flow(table) == [None, (-32768.0, 32767.0), None]
 
 
 class TestTraveledDistance:
