@@ -10,6 +10,7 @@ stream against a ground-truth CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -222,6 +223,7 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowcam",
@@ -292,10 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FlowcamError as exc:
-        print(f"flowcam {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FlowcamError, OSError) as exc:
         print(f"flowcam {args.command}: {exc}", file=sys.stderr)
         return 1
 

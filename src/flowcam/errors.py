@@ -26,8 +26,8 @@ class MarginError(FlowcamError):
 
 
 class EncodingError(FlowcamError):
-    """Vectors the wire format cannot carry: a field out of range, or a table
-    whose rows are not int16 records."""
+    """Vectors or a table `read_ofv` would not return unchanged: a record off
+    the record rule, rows not int16 records, or offsets that miss rows."""
 
 
 class FramingError(FlowcamError):
@@ -36,7 +36,7 @@ class FramingError(FlowcamError):
 
 
 class PayloadError(FlowcamError):
-    """Decoded record carries an out-of-range field."""
+    """A decoded record breaks the record rule or follows a sentinel."""
 
 
 class AlignmentError(FlowcamError):

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError
-from .feature_engine import FeatureSet
+from .feature_engine import DESCRIPTOR_BITS, FeatureSet
 
-NO_COMPETITOR = 256  # second score when the gate admits a single candidate
+NO_COMPETITOR = DESCRIPTOR_BITS  # score ceiling; second score with one candidate
 # Cap on the cell grid, whose row map takes 4 bytes a cell. The pipeline's
 # widest grid, gate 1 over a 640x480 OF frame, is 642 * 482 = 309 444 cells
 # (1.2 MB); a tiny gate over a huge coordinate extent would otherwise
@@ -55,9 +55,9 @@ class FlowVector:
     second_score: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.best_score <= self.second_score <= 256:
+        if not 0 <= self.best_score <= self.second_score <= NO_COMPETITOR:
             raise RangeError(
-                f"need 0 <= best <= second <= 256, got "
+                f"need 0 <= best <= second <= {NO_COMPETITOR}, got "
                 f"{self.best_score}/{self.second_score}"
             )
 
@@ -100,9 +100,9 @@ def match_features(
     `max_displacement` of the previous feature. The vector points at the
     lowest-Hamming candidate; ties go to the smaller displacement and then
     to the earlier row-major candidate. The second score is the second-lowest
-    Hamming among the candidates, or 256 when there is only one. Previous
-    features with no candidate emit nothing; output is ordered by previous
-    feature row-major position. Matching is not injective.
+    Hamming among the candidates, or `NO_COMPETITOR` when there is only one.
+    Previous features with no candidate emit nothing; output is ordered by
+    previous feature row-major position. Matching is not injective.
     """
     if max_displacement <= 0:
         raise RangeError(f"max_displacement must be positive, got {max_displacement}")

@@ -120,7 +120,8 @@ class SensorConfig:
             raise ConfigError("crop origin must be non-negative")
         f = self.subsample_factor
         window = (self.out_width * f, self.out_height * f)
-        read = tuple(_addressable(dim, f) for dim in window)
+        # With f > 1, a side of 32 px or more is addressed in whole 32-px steps.
+        read = tuple(d - d % SUBSAMPLE_ALIGN if d >= SUBSAMPLE_ALIGN else d for d in window)
         if f > 1 and read != window:
             raise ConfigError(
                 f"crop window {window[0]}x{window[1]} is off the sensor's "
@@ -148,18 +149,6 @@ RATE_TABLE = {
 _GRID_FPS = {**RATE_TABLE, (240, 0): 2 * RATE_TABLE[240, 1024] - RATE_TABLE[240, 2048]}
 _GRID_HEIGHTS = sorted({h for h, _ in _GRID_FPS})
 _GRID_VECTORS = sorted({v for _, v in _GRID_FPS})
-
-
-def _addressable(dim: int, factor: int) -> int:
-    """The part of a dimension the sub-sampling hardware can address.
-
-    Dimensions of at least 32 pixels are cut to a multiple of 32 (the grid
-    that reproduces the sensor's documented 2x and 4x output sizes from the
-    full array); smaller dimensions fall back to plain factor divisibility.
-    """
-    if dim >= SUBSAMPLE_ALIGN:
-        return (dim // SUBSAMPLE_ALIGN) * SUBSAMPLE_ALIGN
-    return (dim // factor) * factor
 
 
 def _bin_blocks(pixels: np.ndarray, factor: int) -> np.ndarray:

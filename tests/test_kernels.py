@@ -45,8 +45,8 @@ from flowcam.feature_engine import (
 from flowcam.pipeline import PARAMETER_SETS, frontend_apply, synthesize_sequence
 from flowcam.sensor_frontend import (
     Frame,
+    SUBSAMPLE_ALIGN,
     SensorConfig,
-    _addressable,
     _bin_blocks,
     downscale_for_of,
 )
@@ -182,7 +182,10 @@ class TestBinBlocks:
         # Bin the largest window at (0, 0) that a config may ask for.
         frame = frame_from(seed, width, height, style)
         for factor in (2, 4):
-            w, h = _addressable(width, factor), _addressable(height, factor)
+            # Sides of 32 px or more in whole 32-px steps, smaller ones in
+            # whole blocks.
+            w, h = (d - d % (SUBSAMPLE_ALIGN if d >= SUBSAMPLE_ALIGN else factor)
+                    for d in (width, height))
             if not (w and h):
                 continue
             config = SensorConfig(out_width=w // factor, out_height=h // factor,

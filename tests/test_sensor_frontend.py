@@ -110,6 +110,21 @@ class TestSubsample:
         with pytest.raises(ConfigError, match="read 280x336, not 281x341"):
             window_config((281, 341), factor=4, mode="bin")
 
+    @pytest.mark.parametrize("factor, accepted, rejected", [
+        (2, (7, 8, 9, 15, 16, 32, 64), (17, 31, 33, 63)),
+        (4, (7, 8, 16, 32, 64), (9, 15, 17, 31, 33, 63)),
+    ])
+    def test_window_side_verdicts(self, factor, accepted, rejected):
+        # Output sides whose windows straddle 32 px and its multiples: a
+        # sub-sampled window side of 32 px or more must be a multiple of 32.
+        for side in accepted:
+            window_config((side, 8), factor=factor)
+            window_config((8, side), factor=factor)
+        for side in rejected:
+            for size in ((side, 8), (8, side)):
+                with pytest.raises(ConfigError, match="would address .* and read"):
+                    window_config(size, factor=factor)
+
     def test_two_by_two_block(self):
         pixels = np.array([[10, 20], [30, 40]], dtype=np.uint8)
         frame = Frame(pixels)

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from flowcam.errors import EncodingError, FlowcamError, FramingError, PayloadError
@@ -94,6 +96,28 @@ payload_strategy = st.one_of(
         max_size=3,
     ).map(b"".join),
 )
+
+
+@st.composite
+def edge_table(draw):
+    """An int16 table of records at the edges of the record rule, split into
+    frames anywhere. Then maybe one field of one record, or all six, is set to
+    a raw u16 value that may break the rule: the coordinate limit, the score
+    ceiling, the sentinel field, or scores that put best above second."""
+    n = draw(st.integers(0, 20))
+    pick = st.sampled_from
+    fields = draw(st.lists(st.tuples(
+        pick([0, 2047]), pick([0, 2047]), pick([0, 2048, 0x8000, SENTINEL_FIELD]),
+        pick([0, 2048, 0x8000, SENTINEL_FIELD]), *[pick([0, 5, 256])] * 2).map(
+        lambda r: (*r[:4], *sorted(r[4:]))), min_size=n, max_size=n))
+    rows = np.array(fields, dtype="<u2").reshape(-1, 6)
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1)), draw(pick([0, 1, 4, 5, slice(None)]))] = draw(
+            pick([0, 5, 10, 256, 257, 2047, 2048, SENTINEL_FIELD]))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    return VectorTable(rows.view("<i2"), np.array([0, *cuts, n]))
+
+
 # Each example rewrites the same file, so sharing tmp_path is harmless.
 SHARED_TMP = [HealthCheck.function_scoped_fixture]
 
@@ -122,6 +146,11 @@ class TestEncode:
     def test_out_of_range_coordinate_names_field(self):
         with pytest.raises(EncodingError, match="x_prev"):
             encode(vector_batch([FlowVector(4000, 0, 0, 0, 0, 0)]))
+
+    def test_best_above_second_names_record(self):
+        v = VectorBatch(np.array([[0, 0, 0, 0, 3, 9], [0, 0, 0, 0, 10, 5]], dtype=np.int64))
+        with pytest.raises(EncodingError, match="record 1 carries scores 10/5"):
+            encode(v)
 
     def test_out_of_range_score_names_field(self):
         # A batch carries no check of its own; the codec validates.
@@ -269,6 +298,42 @@ class TestOfvStream:
         _, _, back = read_ofv(path)
         assert len(back) == 3 and back.offsets.tolist() == [0, 0, 0, 0]
         assert [len(v) for v in back] == [0, 0, 0] and len(back[-1]) == 0
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=SHARED_TMP)
+    @given(table=edge_table())
+    @example(table=VectorTable(np.array([[1, 2, 0, 0, 3, 9], [-1] * 6], "<i2"), np.array([0, 2])))
+    @example(table=VectorTable(np.array([[1, 2, 0, 0, 10, 5]], "<i2"), np.array([0, 0, 1])))
+    @example(table=VectorTable(np.array([[3000, 2, 0, 0, 3, 9]], "<i2"), np.array([0, 1])))
+    def test_writer_refuses_exactly_what_reader_refuses(self, tmp_path, table):
+        """An int16 table is written exactly when its records keep the rule,
+        positions below 2048 and 0 <= best <= second <= 256, and then reads
+        back equal."""
+        path = tmp_path / "agree.ofv"
+        path.unlink(missing_ok=True)
+        u = table.rows.view("<u2")
+        if ((u[:, :2] < 2048).all(axis=1) & (u[:, 4] <= u[:, 5]) & (u[:, 5] <= 256)).all():
+            write_ofv(path, 64, 64, table)
+            assert read_ofv(path)[2] == table
+        else:
+            with pytest.raises(EncodingError,
+                               match=f"^{re.escape(str(path))}: frame .* record .* carries"):
+                write_ofv(path, 64, 64, table)
+            assert not path.exists()
+
+    @pytest.mark.parametrize("n_rows, offsets", [
+        (5, [0, 2]), (5, [0, 4, 2]), (5, [0, 4, 2, 5]), (5, [0, 4, 6]), (5, [1, 5]), (0, [1]),
+    ])
+    def test_offsets_that_miss_rows_not_written(self, tmp_path, n_rows, offsets):
+        rows = np.tile(np.array([5, 7, -1, 0, 3, 9], dtype="<i2"), (n_rows, 1))
+        with pytest.raises(EncodingError, match="offsets do not rise from 0 to its"):
+            write_ofv(tmp_path / "cut.ofv", 64, 64, VectorTable(rows, np.array(offsets)))
+        assert not (tmp_path / "cut.ofv").exists()
+
+    def test_table_without_offsets_not_written(self, tmp_path):
+        empty = VectorTable(np.empty((0, 6), dtype="<i2"), np.empty(0, dtype=np.int64))
+        with pytest.raises(EncodingError, match="^frame count -1 does not fit"):
+            write_ofv(tmp_path / "none.ofv", 64, 64, empty)
+        assert not (tmp_path / "none.ofv").exists()
 
     def test_table_of_wide_rows_not_written(self, tmp_path):
         wide = VectorTable(np.array([[5, 7, -1, 0, 3, 9]], dtype=np.int64), np.array([0, 1]))
